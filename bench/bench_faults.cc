@@ -4,11 +4,12 @@
 // Three measurement families, emitted as JSON to stdout
 // (bench/run_benches.sh captures it as BENCH_faults.json):
 //
-//   * checkpoint_overhead — ObliviousJoin vs TryObliviousJoin on a
-//     2^20-total-row one-to-one join.  The Try path installs the
-//     recovery/cancel scope and polls Checkpoint() at every public phase
-//     boundary; the bar is <= 2% overhead (checkpoints are per-phase, not
-//     per-element, so the poll count is logarithmic in the work);
+//   * checkpoint_overhead — ObliviousJoin vs the same call wrapped in
+//     core::RunRecoverable on a 2^20-total-row one-to-one join.  The
+//     wrapped path installs the recovery/cancel scope and polls
+//     Checkpoint() at every public phase boundary; the bar is <= 2%
+//     overhead (checkpoints are per-phase, not per-element, so the poll
+//     count is logarithmic in the work);
 //   * recovery — the cost of each graceful-degradation path against its
 //     clean twin, with the fault counters that window recorded:
 //       mac_retry           decrypt_mac:0.01 over a full encrypted read
@@ -18,8 +19,8 @@
 //       epc_degrade         epc_evict:once halving a forced 4-shard join
 //                           to 2 shards;
 //   * cancellation (smoke) — a pre-cancelled token must surface
-//     kCancelled, and the Try path's output must be byte-identical to the
-//     legacy path's.
+//     kCancelled, and the wrapped path's output must be byte-identical to
+//     the plain call's.
 //
 //   bench_faults [--smoke]
 //
@@ -179,8 +180,8 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : 3;
   bool ok = true;
 
-  // --- checkpoint overhead: legacy vs. Try on a 2^20-total-row join
-  // (OneToOne(n) splits n rows evenly across the two tables). ---
+  // --- checkpoint overhead: plain vs. RunRecoverable on a 2^20-total-row
+  // join (OneToOne(n) splits n rows evenly across the two tables). ---
   const size_t total = smoke ? 256 : (size_t{1} << 20);
   const workload::TestCase big = workload::OneToOne(total, 5);
 
@@ -193,17 +194,17 @@ int main(int argc, char** argv) {
   try_ctx.checkpoint_sink = &sink;
   std::vector<JoinedRecord> try_rows;
   const double try_s = BestOf(reps, [&] {
-    StatusOr<std::vector<JoinedRecord>> r =
-        core::TryObliviousJoin(big.t1, big.t2, try_ctx);
+    StatusOr<std::vector<JoinedRecord>> r = core::RunRecoverable(
+        try_ctx, [&] { return core::ObliviousJoin(big.t1, big.t2, try_ctx); });
     if (!r.ok()) {
-      std::fprintf(stderr, "FAIL: clean TryObliviousJoin returned %s\n",
+      std::fprintf(stderr, "FAIL: clean RunRecoverable join returned %s\n",
                    r.status().ToString().c_str());
       std::exit(1);
     }
     try_rows = std::move(r).value();
   });
   if (try_rows != legacy_rows) {
-    std::fprintf(stderr, "FAIL: Try and legacy join outputs differ\n");
+    std::fprintf(stderr, "FAIL: wrapped and plain join outputs differ\n");
     ok = false;
   }
   const double overhead_pct =
@@ -216,8 +217,8 @@ int main(int argc, char** argv) {
     core::ExecContext ctx;
     ctx.cancel_token = &token;
     const workload::TestCase tiny = workload::OneToOne(64, 9);
-    const StatusOr<std::vector<JoinedRecord>> r =
-        core::TryObliviousJoin(tiny.t1, tiny.t2, ctx);
+    const StatusOr<std::vector<JoinedRecord>> r = core::RunRecoverable(
+        ctx, [&] { return core::ObliviousJoin(tiny.t1, tiny.t2, ctx); });
     if (r.ok() || r.status().code() != StatusCode::kCancelled) {
       std::fprintf(stderr, "FAIL: pre-cancelled join did not report "
                            "CANCELLED\n");

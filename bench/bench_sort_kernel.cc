@@ -12,7 +12,10 @@
 //   build/bench_sort_kernel --smoke    # small-n sanity run (CI smoke target)
 //
 // bench/run_benches.sh records the full run in BENCH_sort.json.  The
-// parallel rows use the global pool (OBLIVDB_THREADS pins its size).
+// parallel rows use the global pool (OBLIVDB_THREADS pins its size).  Each
+// row reports "tasks", the concurrent sort tasks requested, and "workers",
+// the pool workers they ran on; the sequential rows run as one task on the
+// calling thread (1, 1).
 
 #include <cstdint>
 #include <cstdio>
@@ -73,13 +76,14 @@ double NsPerElement(double seconds, size_t n) {
 bool g_first = true;
 
 // `resolved` (optional): the concrete tier a kAuto run dispatched to.
-void Emit(const char* policy, unsigned threads, size_t elem_bytes, size_t n,
-          double seconds, const char* resolved = nullptr) {
-  std::printf("%s    {\"policy\": \"%s\", \"threads\": %u, "
+void Emit(const char* policy, unsigned tasks, unsigned workers,
+          size_t elem_bytes, size_t n, double seconds,
+          const char* resolved = nullptr) {
+  std::printf("%s    {\"policy\": \"%s\", \"tasks\": %u, \"workers\": %u, "
               "\"elem_bytes\": %zu, \"n\": %zu, \"seconds\": %.6f, "
               "\"ns_per_element\": %.2f",
-              g_first ? "" : ",\n", policy, threads, elem_bytes, n, seconds,
-              NsPerElement(seconds, n));
+              g_first ? "" : ",\n", policy, tasks, workers, elem_bytes, n,
+              seconds, NsPerElement(seconds, n));
   if (resolved != nullptr) std::printf(", \"resolved\": \"%s\"", resolved);
   std::printf("}");
   g_first = false;
@@ -93,31 +97,33 @@ void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
     auto arr = make(n);
     timer.Start();
     obliv::BitonicSortRange(arr, 0, n, less);
-    Emit("reference", 1, sizeof(T), n, timer.ElapsedSeconds());
+    Emit("reference", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
   }
   {
     auto arr = make(n);
     timer.Start();
     obliv::BitonicSortBlocked(arr, less);
-    Emit("blocked", 1, sizeof(T), n, timer.ElapsedSeconds());
+    Emit("blocked", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
   }
-  for (const unsigned threads : {1u, 8u}) {
+  for (const unsigned tasks : {1u, 8u}) {
     auto arr = make(n);
     timer.Start();
-    obliv::BitonicSortParallel(arr, less, threads);
-    Emit("blocked_parallel", threads, sizeof(T), n, timer.ElapsedSeconds());
+    obliv::BitonicSortParallel(arr, less, tasks);
+    Emit("blocked_parallel", tasks, pool_threads, sizeof(T), n,
+         timer.ElapsedSeconds());
   }
   {
     auto arr = make(n);
     timer.Start();
     obliv::BitonicSortTagged(arr, less);
-    Emit("tag", 1, sizeof(T), n, timer.ElapsedSeconds());
+    Emit("tag", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
   }
   {
     auto arr = make(n);
     timer.Start();
     obliv::BitonicSortRangeTaggedParallel(arr, 0, n, less);
-    Emit("tag_parallel", pool_threads, sizeof(T), n, timer.ElapsedSeconds());
+    Emit("tag_parallel", pool_threads, pool_threads, sizeof(T), n,
+         timer.ElapsedSeconds());
   }
   {
     auto arr = make(n);
@@ -125,8 +131,8 @@ void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
     timer.Start();
     obliv::SortRange(arr, 0, n, less, obliv::SortPolicy::kAuto,
                      /*comparisons=*/nullptr, /*pool=*/nullptr, &chosen);
-    Emit("auto", pool_threads, sizeof(T), n, timer.ElapsedSeconds(),
-         obliv::SortPolicyName(chosen));
+    Emit("auto", pool_threads, pool_threads, sizeof(T), n,
+         timer.ElapsedSeconds(), obliv::SortPolicyName(chosen));
   }
 }
 

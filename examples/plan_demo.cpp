@@ -8,8 +8,6 @@
 //
 //   distinct(semijoin(dept, select_{status != retired}(emp)))
 //
-// plus the same star query through the typecheck layer's QueryInterpreter,
-// which checks the program and lowers it to the identical plan.
 // Exits nonzero if plan execution disagrees with the direct operator calls,
 // so the build can use it as a smoke check (`plan_smoke` target).
 
@@ -19,7 +17,6 @@
 #include "core/operators.h"
 #include "core/plan.h"
 #include "obliv/ct.h"
-#include "typecheck/interpreter.h"
 
 int main() {
   using namespace oblivdb;
@@ -82,18 +79,5 @@ int main() {
   std::printf("\nplan output matches direct calls: %s\n",
               plan_ok ? "yes" : "NO (bug!)");
 
-  // --- Same query as a checked program through the typecheck layer -------
-  typecheck::QueryCatalog catalog;
-  catalog.tables["emp"] = employees;
-  catalog.tables["dept"] = departments;
-  typecheck::QueryInterpreter interp(catalog);
-  const auto query = typecheck::QDistinct(typecheck::QSemiJoin(
-      typecheck::QScan("dept"), typecheck::QSelect(typecheck::QScan("emp"),
-                                                   active)));
-  const core::PlanResult via_query = interp.Run(query);
-  const bool query_ok = via_query.table.rows() == direct.rows();
-  std::printf("checked query program matches too:   %s\n",
-              query_ok ? "yes" : "NO (bug!)");
-
-  return plan_ok && query_ok ? 0 : 1;
+  return plan_ok ? 0 : 1;
 }

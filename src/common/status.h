@@ -9,7 +9,7 @@
 //     corrupted EncryptedOArray cell, an exhausted EPC budget, a failed
 //     task spawn, a cancelled token, a missed deadline.  These are
 //     expressed as Status / StatusOr<T> through the fallible entry points
-//     (TryObliviousJoin, Executor::TryRun, TryShardedJoin, ...).
+//     (core::RunRecoverable around any operator call, Executor::TryRun).
 //
 // Deep pipeline code signals an environmental fault with RaiseOrAbort().
 // Under a fallible entry point — a RecoveryScope is active on the calling
@@ -120,8 +120,8 @@ class StatusOr {
 namespace internal {
 
 // The unwind vehicle between a fault site and the enclosing fallible entry
-// point.  Never escapes the library: every Try* API catches it (see
-// core::RunRecoverable) and ThreadPool aborts if a task leaks one.
+// point.  Never escapes the library: core::RunRecoverable catches it and
+// ThreadPool aborts if a task leaks one.
 struct StatusError {
   Status status;
 };
@@ -133,10 +133,10 @@ inline thread_local int recovery_depth = 0;
 }  // namespace internal
 
 // Marks the calling thread as being inside a fallible entry point: while
-// one is active, RaiseOrAbort throws instead of aborting.  Installed by the
-// Try* APIs (and re-installed on shard worker threads so per-shard faults
-// propagate to the driver); strictly thread-local, so a scope on the driver
-// never changes behaviour on pool workers.
+// one is active, RaiseOrAbort throws instead of aborting.  Installed by
+// core::RunRecoverable (and re-installed on shard worker threads so
+// per-shard faults propagate to the driver); strictly thread-local, so a
+// scope on the driver never changes behaviour on pool workers.
 class RecoveryScope {
  public:
   RecoveryScope() { ++internal::recovery_depth; }

@@ -139,11 +139,4 @@ std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
   return result;
 }
 
-std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
-    const Table& table1, const Table& table2, obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  return ObliviousJoinAggregate(table1, table2, ctx);
-}
-
 }  // namespace oblivdb::core

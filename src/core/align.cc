@@ -49,11 +49,4 @@ void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
                    sort_comparisons, ctx.pool, sort_chosen);
 }
 
-void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
-                uint64_t* sort_comparisons, obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  AlignTable(s2, m, ctx, sort_comparisons);
-}
-
 }  // namespace oblivdb::core

@@ -53,11 +53,6 @@ void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
                 const OrderHints& join_input_order = {},
                 uint64_t* sorts_elided = nullptr);
 
-// Deprecated shim over the ExecContext form.
-void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
-                uint64_t* sort_comparisons,
-                obliv::SortPolicy sort_policy = ExecContext::kDefaultSortPolicy);
-
 }  // namespace oblivdb::core
 
 #endif  // OBLIVDB_CORE_ALIGN_H_

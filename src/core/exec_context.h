@@ -1,30 +1,18 @@
 // ExecContext: the one execution-context object shared by every relational
-// operator and by the plan Executor (core/plan.h).
+// operator and by the plan Executor (core/plan.h).  It carries the public
+// configuration of a query execution; each field is documented where it is
+// declared below:
 //
-// Before this header existed, each operator hand-threaded its own
-// `sort_policy` default and only ObliviousJoin could report stats.  Now a
-// single context carries the public configuration of a query execution:
-//
-//   * sort_policy  — which implementation runs every bitonic sort in every
-//                    operator (obliv/sort_kernel.h; a pure speed knob);
-//   * pool         — the worker pool the operators' parallel phases use
-//                    (kParallel sort fan-out, kTagSort's Beneš switch
-//                    planning; routed down through obliv::SortRange);
-//                    nullptr = the process-wide ThreadPool::Global();
-//   * stats        — per-call out-parameter: the most recent operator run
-//                    under this context writes its JoinStats here;
-//   * stats_sink   — streaming telemetry: *every* operator (join, distinct,
-//                    semi/anti-join, aggregate, union, select) reports its
-//                    per-phase counters here as it finishes;
-//   * trace_sink   — when set, Executor::Execute installs it for the whole
-//                    plan run (memtrace::TraceScope), so a query's complete
-//                    public-memory trace lands in one sink;
-//   * rng_seed     — deterministic seed for randomized components.  The
-//                    core pipeline is deterministic, so nothing consumes
-//                    it yet; it is reserved for the probabilistic
-//                    distribution / encrypted-array paths (ROADMAP, e.g.
-//                    ObliviousDistributeProbabilistic's prp_key) so that
-//                    plans stay reproducible once one lands.
+//   * speed knobs — byte-identical outputs for every value, and traces
+//     that stay functions of public sizes: sort_policy, sort_elision,
+//     optimize, shards, pool, artifact_cache;
+//   * telemetry: stats, stats_sink, trace_sink;
+//   * fallible-run controls, honoured under RunRecoverable (below):
+//     cancel_token, secondary_cancel_token, deadline_seconds,
+//     checkpoint_sink;
+//   * rng_seed — deterministic seed, re-derived per shard (ForShard) and
+//     per retry attempt (ForAttempt) so concurrent and retried pipelines
+//     draw from independent, reproducible streams.
 //
 // Everything in the context is *public* configuration in the paper's model
 // (§3.1): none of it depends on table contents, so carrying it around — or
@@ -176,11 +164,11 @@ struct ExecContext {
   memtrace::TraceSink* trace_sink = nullptr;
 
   // Cooperative cancellation (common/cancel.h).  Non-owning; honoured only
-  // by the fallible entry points (TryObliviousJoin, Executor::TryRun, the
-  // Try* sharded variants), which install the scope the pipeline's
-  // Checkpoint() polls read.  Polls fire only at public-size-determined
-  // phase boundaries, so cancellation cannot leak row contents: a cancelled
-  // run's trace is a byte-identical prefix of the uncancelled run's.
+  // under RunRecoverable (Executor::TryRun uses it), which installs the
+  // scope the pipeline's Checkpoint() polls read.  Polls fire only at
+  // public-size-determined phase boundaries, so cancellation cannot leak
+  // row contents: a cancelled run's trace is a byte-identical prefix of the
+  // uncancelled run's.
   const CancelToken* cancel_token = nullptr;
 
   // Second cancellation token, observed alongside cancel_token at the same
@@ -190,14 +178,14 @@ struct ExecContext {
   // neither can mask the other.  Non-owning, like cancel_token.
   const CancelToken* secondary_cancel_token = nullptr;
 
-  // Wall-clock budget in seconds for a fallible entry point, anchored when
-  // the Try* call installs its scope; <= 0 = none.  Enforced at the same
+  // Wall-clock budget in seconds for a fallible run, anchored when
+  // RunRecoverable installs its scope; <= 0 = none.  Enforced at the same
   // public checkpoints as cancellation (kDeadlineExceeded).
   double deadline_seconds = DefaultDeadlineSeconds();
 
   // Observer of checkpoint polls; tests use it to pin the checkpoint
   // sequence as a function of public sizes (and to cancel at an exact
-  // checkpoint).  Like the token, only the Try* entry points install it.
+  // checkpoint).  Like the token, only RunRecoverable installs it.
   CheckpointSink* checkpoint_sink = nullptr;
 
   // Sharded execution (core/shard.h): how many independent per-shard
@@ -209,8 +197,8 @@ struct ExecContext {
   uint32_t shards = DefaultShards();
 
   // Deterministic seed; public configuration.  Consumed by the sharded
-  // executor (core/shard.h) to derive the partition PRPs and the per-shard
-  // seeds; reserved for the other probabilistic paths (encrypted arrays).
+  // executor (core/shard.h) to derive the partition PRPs and, through
+  // ForShard / ForAttempt, the per-shard and per-retry seeds.
   uint64_t rng_seed = 0x0b11da7aba5e5eedULL;
 
   // Artifact cache for query-independent expensive byproducts — Beneš
@@ -282,13 +270,17 @@ struct ExecContext {
   }
 };
 
-// Runs `fn` as a fallible entry point under `ctx`: installs the context's
+// Runs `fn` as a fallible call under `ctx`: installs the context's
 // cancellation scope (token + deadline + checkpoint sink) and a recovery
 // scope, catches the internal fault unwind, and returns the result — or the
-// fault — as a StatusOr.  Every Try* API (TryObliviousJoin,
-// Executor::TryRun, TryShardedJoin, QueryInterpreter::TryRun) is this
-// wrapper around its abort-on-fault sibling; the wrapped computation is
-// unchanged, so traces and outputs stay byte-identical to the legacy path.
+// fault — as a StatusOr.  This is the one fallible wrapper for direct
+// operator calls, e.g.
+//   RunRecoverable(ctx, [&] { return ObliviousJoin(t1, t2, ctx); })
+// and Executor::TryRun is built on it.  The wrapped computation is
+// unchanged, so traces and outputs stay byte-identical to the aborting
+// call.  Environmental faults come back as their Status (kCancelled,
+// kDeadlineExceeded, kIntegrityViolation, kResourceExhausted, ...);
+// programming errors (OBLIVDB_CHECK) still abort.
 template <typename Fn>
 auto RunRecoverable(const ExecContext& ctx, Fn&& fn)
     -> StatusOr<decltype(fn())> {

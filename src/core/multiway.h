@@ -43,10 +43,6 @@ Table ObliviousMultiwayJoin(const std::vector<Table>& tables,
                             const ExecContext& ctx = {},
                             const std::vector<OrderSpec>& input_orders = {});
 
-// Deprecated shim over the ExecContext form.
-Table ObliviousMultiwayJoin(const std::vector<Table>& tables,
-                            const JoinOptions& options);
-
 // Exact three-way join, lossless in both payload words of every table:
 // returns rows (j, d1, d2, d3) with d_i the first payload word of table i.
 struct ThreeWayRow {
@@ -61,12 +57,6 @@ std::vector<ThreeWayRow> ObliviousThreeWayJoin(const Table& t1,
                                                const Table& t2,
                                                const Table& t3,
                                                const ExecContext& ctx = {});
-
-// Deprecated shim over the ExecContext form.
-std::vector<ThreeWayRow> ObliviousThreeWayJoin(const Table& t1,
-                                               const Table& t2,
-                                               const Table& t3,
-                                               const JoinOptions& options);
 
 }  // namespace oblivdb::core
 

@@ -199,29 +199,9 @@ Table ObliviousSemiJoin(const Table& t1, const Table& t2,
   return SemiOrAntiJoin(t1, t2, /*want_match=*/true, "semijoin", ctx, hints);
 }
 
-Table ObliviousSemiJoin(const Table& t1, const Table& t2,
-                        obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  return ObliviousSemiJoin(t1, t2, ctx);
-}
-
 Table ObliviousAntiJoin(const Table& t1, const Table& t2,
                         const ExecContext& ctx, const OrderHints& hints) {
   return SemiOrAntiJoin(t1, t2, /*want_match=*/false, "antijoin", ctx, hints);
-}
-
-Table ObliviousAntiJoin(const Table& t1, const Table& t2,
-                        obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  return ObliviousAntiJoin(t1, t2, ctx);
-}
-
-Table ObliviousDistinct(const Table& input, obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  return ObliviousDistinct(input, ctx);
 }
 
 Table ObliviousUnion(const Table& t1, const Table& t2,

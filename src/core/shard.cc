@@ -632,18 +632,4 @@ std::vector<JoinGroupAggregate> ShardedJoinAggregate(const Table& t1,
   return groups;
 }
 
-StatusOr<std::vector<JoinedRecord>> TryShardedJoin(const Table& t1,
-                                                   const Table& t2,
-                                                   const ExecContext& ctx,
-                                                   const OrderHints& hints) {
-  return RunRecoverable(ctx, [&] { return ShardedJoin(t1, t2, ctx, hints); });
-}
-
-StatusOr<std::vector<JoinGroupAggregate>> TryShardedJoinAggregate(
-    const Table& t1, const Table& t2, const ExecContext& ctx,
-    const OrderHints& hints) {
-  return RunRecoverable(
-      ctx, [&] { return ShardedJoinAggregate(t1, t2, ctx, hints); });
-}
-
 }  // namespace oblivdb::core

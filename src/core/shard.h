@@ -151,20 +151,6 @@ std::vector<JoinGroupAggregate> ShardedJoinAggregate(
     const Table& t1, const Table& t2, const ExecContext& ctx = {},
     const OrderHints& hints = {});
 
-// Fallible variants: install a recovery + cancellation scope around the
-// sharded operators (see RunRecoverable in core/exec_context.h).
-// Environmental faults — cancellation, deadline expiry, MAC verification
-// failure past the retry budget, resource exhaustion — come back as a
-// non-OK Status; a fault raised inside a concurrent shard pipeline is
-// propagated to the driver and returned the same way.  Programming errors
-// still abort.
-StatusOr<std::vector<JoinedRecord>> TryShardedJoin(
-    const Table& t1, const Table& t2, const ExecContext& ctx = {},
-    const OrderHints& hints = {});
-StatusOr<std::vector<JoinGroupAggregate>> TryShardedJoinAggregate(
-    const Table& t1, const Table& t2, const ExecContext& ctx = {},
-    const OrderHints& hints = {});
-
 }  // namespace oblivdb::core
 
 #endif  // OBLIVDB_CORE_SHARD_H_

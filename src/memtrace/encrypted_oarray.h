@@ -14,7 +14,7 @@
 // fast path carries no cipher cost.
 //
 // Failure model: Read (legacy) aborts on a MAC failure when no recovery
-// scope is active, and raises kIntegrityViolation through the Try* unwind
+// scope is active, and raises kIntegrityViolation through the recovery unwind
 // otherwise; TryRead returns the StatusOr directly.  Both paths first run a
 // bounded retry loop (kMacRetryLimit) with a re-derived fault-injector
 // stream per attempt, so an *injected transient* fault (site "decrypt_mac",

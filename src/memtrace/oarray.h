@@ -67,8 +67,8 @@ class OArray {
         name_(std::move(name)),
         array_id_(RegisterArray(name_, length, sizeof(T))) {
     // Fault-injection site "alloc": models public-memory exhaustion at the
-    // one place the algorithms acquire it.  Under a Try* entry point the
-    // fault unwinds as kResourceExhausted; legacy callers abort.  Array
+    // one place the algorithms acquire it.  Under core::RunRecoverable the
+    // fault unwinds as kResourceExhausted; other callers abort.  Array
     // shapes are public, so the probe leaks nothing.
     if (FaultInjector::Global().ShouldFire(FaultSite::kAlloc)) {
       RaiseOrAbort(Status(StatusCode::kResourceExhausted,

@@ -102,30 +102,4 @@ const std::vector<uint64_t>& Interpreter::GetArray(
   return it->second;
 }
 
-core::PlanResult QueryInterpreter::Run(const QueryPtr& query) {
-  // Lower the program to a plan and hand it to the shared Executor: the
-  // interpreter contains no operator calls of its own.  LowerToPlan runs
-  // the one CheckQuery pass and aborts on ill-formed input (call Check()
-  // first to reject gracefully).
-  last_plan_ = LowerToPlan(query, catalog_);
-  core::Executor executor(ctx_);
-  core::PlanResult result = executor.Execute(last_plan_);
-  last_node_stats_ = executor.node_stats();
-  return result;
-}
-
-StatusOr<core::PlanResult> QueryInterpreter::TryRun(const QueryPtr& query) {
-  // Graceful front door: the structural check that Run would turn into an
-  // abort becomes a kInvalidArgument carrying the checker's message.
-  const QueryCheckResult check = Check(query);
-  if (!check.ok) {
-    return Status(StatusCode::kInvalidArgument, check.error);
-  }
-  last_plan_ = LowerToPlan(query, catalog_);
-  core::Executor executor(ctx_);
-  StatusOr<core::PlanResult> result = executor.TryRun(last_plan_);
-  last_node_stats_ = executor.node_stats();
-  return result;
-}
-
 }  // namespace oblivdb::typecheck

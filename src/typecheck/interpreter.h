@@ -1,17 +1,13 @@
-// Concrete executors for the two typed languages of this layer.
+// Concrete executor for the imperative DSL of ast.h.
 //
-// Interpreter runs the imperative DSL of ast.h against concrete
-// variable/array stores and records the concrete public-memory trace.
-// Together with the checker this closes the paper's §6.1 loop: a well-typed
-// program, executed on any two stores that agree on L data, produces
-// identical traces — and the tests verify exactly that on the DSL-encoded
-// kernels of the join algorithm.
+// Interpreter runs a program against concrete variable/array stores and
+// records the concrete public-memory trace.  Together with the checker this
+// closes the paper's §6.1 loop: a well-typed program, executed on any two
+// stores that agree on L data, produces identical traces — and the tests
+// verify exactly that on the DSL-encoded kernels of the join algorithm.
 //
-// QueryInterpreter runs the relational language of query.h.  It never calls
-// a relational operator directly: a query is checked (CheckQuery), lowered
-// to a core::Plan tree (LowerToPlan) and executed by the core::Executor
-// under the shared ExecContext — so every checked program takes the same
-// plan path as the rest of the system.
+// Relational queries are not a language of this layer: they are core::Plan
+// trees (core/plan.h), run by core::Executor.
 
 #ifndef OBLIVDB_TYPECHECK_INTERPRETER_H_
 #define OBLIVDB_TYPECHECK_INTERPRETER_H_
@@ -22,10 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/exec_context.h"
-#include "core/plan.h"
 #include "typecheck/ast.h"
-#include "typecheck/query.h"
 
 namespace oblivdb::typecheck {
 
@@ -59,42 +52,6 @@ class Interpreter {
   std::map<std::string, uint64_t> variables_;
   std::map<std::string, std::vector<uint64_t>> arrays_;
   std::vector<ConcreteAccess> trace_;
-};
-
-// Relational front-end: checked query programs, lowered to plans and run
-// through the core Executor (never by calling operators directly).
-class QueryInterpreter {
- public:
-  explicit QueryInterpreter(QueryCatalog catalog, core::ExecContext ctx = {})
-      : catalog_(std::move(catalog)), ctx_(std::move(ctx)) {}
-
-  // Checks the query without running it.
-  QueryCheckResult Check(const QueryPtr& query) const {
-    return CheckQuery(query, catalog_);
-  }
-
-  // Checks, lowers and executes; aborts on ill-formed queries (call Check
-  // first to reject gracefully).  The lowered plan and the per-node stats
-  // of the run stay available afterwards.
-  core::PlanResult Run(const QueryPtr& query);
-
-  // Fallible variant: an ill-formed query comes back as kInvalidArgument
-  // carrying the checker's message instead of aborting, and environmental
-  // faults during execution (cancellation, deadline expiry, integrity or
-  // resource failures) come back as their Status via the Executor's
-  // recovery scope.  Programming errors still abort.
-  StatusOr<core::PlanResult> TryRun(const QueryPtr& query);
-
-  const core::PlanPtr& last_plan() const { return last_plan_; }
-  const std::vector<core::PlanNodeStats>& last_node_stats() const {
-    return last_node_stats_;
-  }
-
- private:
-  QueryCatalog catalog_;
-  core::ExecContext ctx_;
-  core::PlanPtr last_plan_;
-  std::vector<core::PlanNodeStats> last_node_stats_;
 };
 
 }  // namespace oblivdb::typecheck

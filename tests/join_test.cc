@@ -94,9 +94,9 @@ TEST(JoinTest, OutputIsLexicographicallySorted) {
 TEST(JoinTest, StatsArePopulated) {
   const auto tc = workload::OneToOne(32, 4);
   JoinStats stats;
-  JoinOptions options;
-  options.stats = &stats;
-  const auto rows = ObliviousJoin(tc.t1, tc.t2, options);
+  ExecContext ctx;
+  ctx.stats = &stats;
+  const auto rows = ObliviousJoin(tc.t1, tc.t2, ctx);
   EXPECT_EQ(stats.n1, tc.t1.size());
   EXPECT_EQ(stats.n2, tc.t2.size());
   EXPECT_EQ(stats.m, rows.size());
@@ -148,9 +148,9 @@ TEST(JoinTest, StatsMatchNetworkSizeModelExactly) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const auto tc = workload::PowerLaw(48, 2.0, seed);
     JoinStats stats;
-    JoinOptions options;
-    options.stats = &stats;
-    (void)ObliviousJoin(tc.t1, tc.t2, options);
+    ExecContext ctx;
+    ctx.stats = &stats;
+    (void)ObliviousJoin(tc.t1, tc.t2, ctx);
     const uint64_t n = stats.n1 + stats.n2;
     const uint64_t m = stats.m;
     using obliv::BitonicComparisonCount;

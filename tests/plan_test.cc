@@ -126,6 +126,23 @@ TEST(PlanEquivalenceTest, MultiwayJoin) {
             core::ObliviousMultiwayJoin({SmallT1(), SmallT2(), t3}).rows());
 }
 
+// Distinct over a join: the join node packs the first payload word of each
+// side, and the distinct runs over that packed table.
+TEST(PlanEquivalenceTest, DistinctOverJoin) {
+  const Table emp("emp", {{1, 10}, {1, 11}, {2, 20}, {3, 30}});
+  const Table dept("dept", {{1, 100}, {2, 200}, {2, 201}});
+  Executor ex({});
+  const PlanResult r = ex.Execute(
+      core::Distinct(core::Join(core::Scan(emp), core::Scan(dept))));
+
+  Table packed("join");
+  for (const auto& row : core::ObliviousJoin(emp, dept)) {
+    packed.rows().push_back(
+        Record{row.key, {row.payload1[0], row.payload2[0]}});
+  }
+  EXPECT_EQ(r.table.rows(), core::ObliviousDistinct(packed).rows());
+}
+
 // A composite plan against the nested direct calls, across every policy.
 TEST(PlanEquivalenceTest, CompositePlanAllPolicies) {
   const auto tc = workload::PowerLaw(48, 2.0, 11);
@@ -142,6 +159,17 @@ TEST(PlanEquivalenceTest, CompositePlanAllPolicies) {
         ctx);
     EXPECT_EQ(r.table.rows(), direct.rows());
   }
+}
+
+// The builders reject malformed trees at construction: a null input, a
+// select without a predicate, a multiway join over no inputs.
+TEST(PlanBuilderDeathTest, RejectsMalformedTrees) {
+  EXPECT_DEATH((void)core::Distinct(nullptr), "OBLIVDB_CHECK");
+  EXPECT_DEATH((void)core::Join(core::Scan(SmallT1()), nullptr),
+               "OBLIVDB_CHECK");
+  EXPECT_DEATH((void)core::Select(core::Scan(SmallT1()), nullptr),
+               "OBLIVDB_CHECK");
+  EXPECT_DEATH((void)core::MultiwayJoin({}), "OBLIVDB_CHECK");
 }
 
 // ---------------------------------------------------------------------------

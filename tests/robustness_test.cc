@@ -24,7 +24,6 @@
 #include "obliv/expand.h"
 #include "sgx_sim/epc_simulator.h"
 #include "table/entry.h"
-#include "typecheck/interpreter.h"
 #include "workload/generators.h"
 
 namespace oblivdb {
@@ -449,7 +448,8 @@ TEST(CancellationTest, PreCancelledTokenReturnsCancelled) {
   token.Cancel();
   core::ExecContext ctx;
   ctx.cancel_token = &token;
-  const auto r = core::TryObliviousJoin(tc.t1, tc.t2, ctx);
+  const auto r = core::RunRecoverable(
+      ctx, [&] { return core::ObliviousJoin(tc.t1, tc.t2, ctx); });
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   EXPECT_NE(r.status().message().find("cancelled at checkpoint"),
@@ -463,7 +463,8 @@ TEST(CancellationTest, PreCancelledTokenCancelsShardedJoin) {
   core::ExecContext ctx;
   ctx.shards = 2;
   ctx.cancel_token = &token;
-  const auto r = core::TryShardedJoin(tc.t1, tc.t2, ctx);
+  const auto r = core::RunRecoverable(
+      ctx, [&] { return core::ShardedJoin(tc.t1, tc.t2, ctx); });
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -472,7 +473,8 @@ TEST(CancellationTest, TinyDeadlineReturnsDeadlineExceeded) {
   const auto tc = workload::PowerLaw(32, 2.0, 4);
   core::ExecContext ctx;
   ctx.deadline_seconds = 1e-9;  // expired by the first checkpoint
-  const auto r = core::TryObliviousJoin(tc.t1, tc.t2, ctx);
+  const auto r = core::RunRecoverable(
+      ctx, [&] { return core::ObliviousJoin(tc.t1, tc.t2, ctx); });
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(r.status().message().find("deadline exceeded at checkpoint"),
@@ -485,7 +487,8 @@ TEST(CancellationTest, UnfiredTokenLeavesResultIdentical) {
   CancelToken token;  // never cancelled
   core::ExecContext ctx;
   ctx.cancel_token = &token;
-  const auto r = core::TryObliviousJoin(tc.t1, tc.t2, ctx);
+  const auto r = core::RunRecoverable(
+      ctx, [&] { return core::ObliviousJoin(tc.t1, tc.t2, ctx); });
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), legacy);
 }
@@ -500,7 +503,8 @@ TEST(CancellationTest, CheckpointSequenceIsSizeDetermined) {
     core::ExecContext ctx;
     ctx.checkpoint_sink = sink;
     memtrace::TraceScope scope(trace);
-    const auto r = core::TryObliviousJoin(tc.t1, tc.t2, ctx);
+    const auto r = core::RunRecoverable(
+        ctx, [&] { return core::ObliviousJoin(tc.t1, tc.t2, ctx); });
     ASSERT_TRUE(r.ok());
   };
   RecordingCheckpointSink sink_a, sink_b;
@@ -522,7 +526,9 @@ TEST(CancellationTest, CancelledRunIsTruncatedPrefixOfUncancelledRun) {
     core::ExecContext ctx;
     ctx.checkpoint_sink = &full_sink;
     memtrace::TraceScope scope(&full_trace);
-    ASSERT_TRUE(core::TryObliviousJoin(tc.t1, tc.t2, ctx).ok());
+    ASSERT_TRUE(core::RunRecoverable(ctx, [&] {
+                  return core::ObliviousJoin(tc.t1, tc.t2, ctx);
+                }).ok());
   }
   const uint64_t total = full_sink.checkpoints().size();
   ASSERT_GT(total, 2u);
@@ -537,7 +543,8 @@ TEST(CancellationTest, CancelledRunIsTruncatedPrefixOfUncancelledRun) {
     ctx.cancel_token = &token;
     ctx.checkpoint_sink = &cancel_sink;
     memtrace::TraceScope scope(&cancelled_trace);
-    const auto r = core::TryObliviousJoin(tc.t1, tc.t2, ctx);
+    const auto r = core::RunRecoverable(
+        ctx, [&] { return core::ObliviousJoin(tc.t1, tc.t2, ctx); });
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   }
@@ -614,27 +621,6 @@ TEST(TryRunTest, ExplainPlanAnnotatesFaultCounters) {
   const std::string plain = core::ExplainPlan(plan, clean.node_stats());
   EXPECT_EQ(plain.find("faults="), std::string::npos) << plain;
   EXPECT_EQ(plain.find("degraded="), std::string::npos) << plain;
-}
-
-TEST(TryRunTest, QueryInterpreterRejectsIllFormedGracefully) {
-  typecheck::QueryCatalog catalog;  // empty: every scan is unknown
-  typecheck::QueryInterpreter interp(catalog);
-  const auto r = interp.TryRun(typecheck::QScan("no_such_table"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("no_such_table"), std::string::npos);
-}
-
-TEST(TryRunTest, QueryInterpreterRunsCheckedQueries) {
-  const auto tc = workload::PowerLaw(32, 2.0, 4);
-  typecheck::QueryCatalog catalog;
-  catalog.tables["t1"] = tc.t1;
-  catalog.tables["t2"] = tc.t2;
-  typecheck::QueryInterpreter interp(catalog);
-  const auto r = interp.TryRun(
-      typecheck::QJoin(typecheck::QScan("t1"), typecheck::QScan("t2")));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().join_rows, core::ObliviousJoin(tc.t1, tc.t2));
 }
 
 // ---------------------------------------------------------------------------

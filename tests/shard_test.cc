@@ -18,8 +18,6 @@
 #include "core/plan.h"
 #include "core/shard.h"
 #include "memtrace/sinks.h"
-#include "typecheck/interpreter.h"
-#include "typecheck/query.h"
 #include "workload/generators.h"
 
 namespace oblivdb {
@@ -469,7 +467,7 @@ TEST(ShardedTraceTest, TracedSequentialMatchesUntracedConcurrent) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan and query integration.
+// Plan integration.
 
 TEST(ShardedPlanTest, ExecutorRoutesJoinAndAggregateThroughShards) {
   const auto tc = MidCase(17);
@@ -508,27 +506,6 @@ TEST(ShardedPlanTest, ContextKnobShardsPlanJoins) {
   const auto got = sharded_ex.Execute(plan).join_rows;
   EXPECT_EQ(got, expected);
   EXPECT_EQ(sharded_ex.node_stats().back().stats.op_shards, 4u);
-}
-
-TEST(ShardedQueryTest, CheckedQueryLowersShardOverride) {
-  const auto tc = MidCase(19);
-  typecheck::QueryCatalog catalog;
-  catalog.tables["t1"] = tc.t1;
-  catalog.tables["t2"] = tc.t2;
-
-  typecheck::QueryInterpreter plain(catalog);
-  const auto expected =
-      plain.Run(typecheck::QJoin(typecheck::QScan("t1"),
-                                 typecheck::QScan("t2")));
-
-  typecheck::QueryInterpreter sharded(catalog);
-  const auto query = typecheck::QJoin(typecheck::QScan("t1"),
-                                      typecheck::QScan("t2"), /*shards=*/4);
-  ASSERT_TRUE(sharded.Check(query).ok);
-  const auto got = sharded.Run(query);
-  EXPECT_EQ(got.join_rows, expected.join_rows);
-  EXPECT_EQ(sharded.last_node_stats().back().stats.op_shards, 4u);
-  EXPECT_EQ(sharded.last_plan()->shards, 4u);
 }
 
 }  // namespace

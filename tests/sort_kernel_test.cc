@@ -257,16 +257,16 @@ TEST(SortKernelTest, JoinProducesSameRowsAndTraceUnderBothPolicies) {
   memtrace::HashTraceSink reference_trace;
   {
     memtrace::TraceScope scope(&reference_trace);
-    core::JoinOptions options;
-    options.sort_policy = SortPolicy::kReference;
-    rows_reference = core::ObliviousJoin(t1, t2, options);
+    core::ExecContext ctx;
+    ctx.sort_policy = SortPolicy::kReference;
+    rows_reference = core::ObliviousJoin(t1, t2, ctx);
   }
   memtrace::HashTraceSink blocked_trace;
   {
     memtrace::TraceScope scope(&blocked_trace);
-    core::JoinOptions options;
-    options.sort_policy = SortPolicy::kBlocked;
-    rows_blocked = core::ObliviousJoin(t1, t2, options);
+    core::ExecContext ctx;
+    ctx.sort_policy = SortPolicy::kBlocked;
+    rows_blocked = core::ObliviousJoin(t1, t2, ctx);
   }
 
   EXPECT_EQ(rows_reference, rows_blocked);

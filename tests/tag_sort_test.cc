@@ -311,10 +311,10 @@ TEST(TagSortTest, JoinRowsIdenticalUnderEveryPolicy) {
                                                    /*seed=*/9);
   std::vector<JoinedRecord> reference;
   for (const SortPolicy policy : kAllPolicies) {
-    core::JoinOptions options;
-    options.sort_policy = policy;
+    core::ExecContext ctx;
+    ctx.sort_policy = policy;
     const std::vector<JoinedRecord> rows =
-        core::ObliviousJoin(tc.t1, tc.t2, options);
+        core::ObliviousJoin(tc.t1, tc.t2, ctx);
     if (policy == SortPolicy::kReference) {
       reference = rows;
     } else {
@@ -327,9 +327,9 @@ TEST(TagSortTest, JoinTraceDataIndependentUnderTagSort) {
   auto hash_of = [](const workload::TestCase& tc) {
     memtrace::HashTraceSink sink;
     memtrace::TraceScope scope(&sink);
-    core::JoinOptions options;
-    options.sort_policy = SortPolicy::kTagSort;
-    (void)core::ObliviousJoin(tc.t1, tc.t2, options);
+    core::ExecContext ctx;
+    ctx.sort_policy = SortPolicy::kTagSort;
+    (void)core::ObliviousJoin(tc.t1, tc.t2, ctx);
     return sink.HexDigest();
   };
   const auto a = workload::WithOutputSize(64, 16, 0, 1);
@@ -345,13 +345,15 @@ TEST(TagSortTest, RelationalOperatorsAgreeAcrossPolicies) {
   const auto agg_ref = core::ObliviousJoinAggregate(tc.t1, tc.t2);
   for (const SortPolicy policy :
        {SortPolicy::kParallel, SortPolicy::kTagSort}) {
-    EXPECT_EQ(core::ObliviousDistinct(tc.t1, policy).rows(),
+    core::ExecContext ctx;
+    ctx.sort_policy = policy;
+    EXPECT_EQ(core::ObliviousDistinct(tc.t1, ctx).rows(),
               distinct_ref.rows());
-    EXPECT_EQ(core::ObliviousSemiJoin(tc.t1, tc.t2, policy).rows(),
+    EXPECT_EQ(core::ObliviousSemiJoin(tc.t1, tc.t2, ctx).rows(),
               semi_ref.rows());
-    EXPECT_EQ(core::ObliviousAntiJoin(tc.t1, tc.t2, policy).rows(),
+    EXPECT_EQ(core::ObliviousAntiJoin(tc.t1, tc.t2, ctx).rows(),
               anti_ref.rows());
-    EXPECT_EQ(core::ObliviousJoinAggregate(tc.t1, tc.t2, policy), agg_ref);
+    EXPECT_EQ(core::ObliviousJoinAggregate(tc.t1, tc.t2, ctx), agg_ref);
   }
 }
 

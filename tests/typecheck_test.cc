@@ -3,15 +3,10 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregate.h"
-#include "core/join.h"
-#include "core/operators.h"
-#include "core/plan.h"
 #include "typecheck/ast.h"
 #include "typecheck/checker.h"
 #include "typecheck/interpreter.h"
 #include "typecheck/programs.h"
-#include "typecheck/query.h"
 
 namespace oblivdb::typecheck {
 namespace {
@@ -283,92 +278,6 @@ TEST(DslAlignTest, ComputesInterleavingIndices) {
   interp.Run(program);
   EXPECT_EQ(interp.GetArray("II"),
             (std::vector<uint64_t>{0, 0, 3, 1, 4, 2, 5}));
-}
-
-// ---------------------------------------------------------------------------
-// Relational query programs (query.h): checked, lowered to core plans and
-// executed through the Executor — never by direct operator calls.
-
-QueryCatalog DemoCatalog() {
-  QueryCatalog catalog;
-  catalog.tables["emp"] =
-      Table("emp", {{1, 10}, {1, 11}, {2, 20}, {3, 30}});
-  catalog.tables["dept"] = Table("dept", {{1, 100}, {2, 200}, {2, 201}});
-  return catalog;
-}
-
-TEST(QueryCheckTest, AcceptsWellFormedQuery) {
-  const auto q = QDistinct(QJoin(QScan("emp"), QScan("dept")));
-  EXPECT_TRUE(CheckQuery(q, DemoCatalog()).ok);
-}
-
-TEST(QueryCheckTest, RejectsUnknownTable) {
-  const auto q = QJoin(QScan("emp"), QScan("missing"));
-  const QueryCheckResult r = CheckQuery(q, DemoCatalog());
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("missing"), std::string::npos);
-}
-
-TEST(QueryCheckTest, RejectsNullChildAndMissingPredicate) {
-  EXPECT_FALSE(CheckQuery(QDistinct(nullptr), DemoCatalog()).ok);
-  EXPECT_FALSE(CheckQuery(QSelect(QScan("emp"), nullptr), DemoCatalog()).ok);
-  EXPECT_FALSE(CheckQuery(QMultiwayJoin({}), DemoCatalog()).ok);
-}
-
-TEST(QueryInterpreterTest, RunsThroughPlanExecutor) {
-  QueryInterpreter interp(DemoCatalog());
-  const core::PlanResult r =
-      interp.Run(QDistinct(QJoin(QScan("emp"), QScan("dept"))));
-
-  const QueryCatalog catalog = DemoCatalog();
-  const auto joined = core::ObliviousJoin(catalog.tables.at("emp"),
-                                          catalog.tables.at("dept"));
-  Table packed("join");
-  for (const auto& row : joined) {
-    packed.rows().push_back(
-        Record{row.key, {row.payload1[0], row.payload2[0]}});
-  }
-  EXPECT_EQ(r.table.rows(), core::ObliviousDistinct(packed).rows());
-
-  // The lowered plan and the per-node execution stats are exposed.
-  ASSERT_NE(interp.last_plan(), nullptr);
-  EXPECT_EQ(core::ExplainPlan(interp.last_plan()),
-            "distinct\n  join\n    scan(emp)\n    scan(dept)\n");
-  ASSERT_EQ(interp.last_node_stats().size(), 4u);
-  EXPECT_GT(interp.last_node_stats()[2].stats.TotalComparisons(), 0u);
-}
-
-TEST(QueryInterpreterTest, AggregateRootKeepsWideRows) {
-  QueryInterpreter interp(DemoCatalog());
-  const core::PlanResult r =
-      interp.Run(QAggregate(QScan("emp"), QScan("dept")));
-  const QueryCatalog catalog = DemoCatalog();
-  EXPECT_EQ(r.aggregate_rows,
-            core::ObliviousJoinAggregate(catalog.tables.at("emp"),
-                                         catalog.tables.at("dept")));
-}
-
-// A declared catalog order passes through lowering unchanged: the scan
-// node carries it, order propagation sees it, and the Executor elides the
-// downstream entry sort — same rows as the undeclared run.
-TEST(QueryInterpreterTest, CatalogTableOrderLowersOntoScan) {
-  QueryCatalog catalog = DemoCatalog();
-  // "emp" is stored (j, d)-sorted (it is, in DemoCatalog).
-  catalog.table_orders["emp"] = core::OrderSpec::ByKeyData();
-
-  const auto q = QDistinct(QScan("emp"));
-  const core::PlanPtr plan = LowerToPlan(q, catalog);
-  EXPECT_EQ(core::ProducedOrder(plan->inputs[0]),
-            core::OrderSpec::ByKeyData());
-
-  core::ExecContext ctx;
-  ctx.sort_elision = true;
-  QueryInterpreter interp(catalog, ctx);
-  const core::PlanResult r = interp.Run(q);
-  EXPECT_EQ(interp.last_node_stats().back().stats.op_sorts_elided, 1u);
-
-  QueryInterpreter plain(DemoCatalog());
-  EXPECT_EQ(r.table.rows(), plain.Run(q).table.rows());
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 //     clean twin, with the fault counters that window recorded:
 //       mac_retry           decrypt_mac:0.01 over a full encrypted read
 //                           pass (bounded in-place retries),
-//       pool_spawn_degrade  pool_spawn:1 forcing every kParallelTag sort
-//                           down to its sequential kTagSort twin,
+//       pool_spawn_degrade  pool_spawn:1 forcing every kBlocked sort on a
+//                           4-worker pool down to the sequential
+//                           blocked kernel,
 //       epc_degrade         epc_evict:once halving a forced 4-shard join
 //                           to 2 shards;
 //   * cancellation (smoke) — a pre-cancelled token must surface
@@ -42,6 +43,7 @@
 #include "core/join.h"
 #include "core/shard.h"
 #include "memtrace/encrypted_oarray.h"
+#include "obliv/sort_kernel.h"
 #include "workload/generators.h"
 
 namespace {
@@ -119,11 +121,16 @@ RecoveryRow BenchMacRetry(size_t cells, int reps) {
 }
 
 // pool_spawn_degrade: every parallel-sort spawn probe refused, so each
-// kParallelTag sort runs its sequential kTagSort twin in place.
+// kBlocked sort that would fan out on the 4-worker pool runs the
+// sequential blocked kernel in place.  Each side holds n rows, and n must
+// reach the fan-out floor (obliv::kSortFanOutMinLen) for any sort to fan
+// out.
 RecoveryRow BenchPoolSpawnDegrade(size_t n, int reps) {
-  const workload::TestCase tc = workload::PowerLaw(n, 2.0, 7);
+  const workload::TestCase tc = workload::OneToOne(n, 7);
+  ThreadPool pool(4);
   core::ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kParallelTag;
+  ctx.sort_policy = obliv::SortPolicy::kBlocked;
+  ctx.pool = &pool;
 
   std::vector<JoinedRecord> clean_rows, faulty_rows;
   const double clean =
@@ -229,7 +236,7 @@ int main(int argc, char** argv) {
   // --- recovery paths. ---
   const RecoveryRow rows[] = {
       BenchMacRetry(smoke ? 256 : (size_t{1} << 15), reps),
-      BenchPoolSpawnDegrade(smoke ? 64 : (size_t{1} << 13), reps),
+      BenchPoolSpawnDegrade(obliv::kSortFanOutMinLen, reps),
       BenchEpcDegrade(smoke ? 256 : (size_t{1} << 13), reps),
   };
   for (const RecoveryRow& row : rows) {

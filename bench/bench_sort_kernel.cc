@@ -1,25 +1,29 @@
-// Sort-kernel perf trajectory: ns/element for every SortPolicy — reference
-// network, cache-blocked kernel, pool-parallel kernel, the key/payload-
-// separated tag sort, and the pool-parallel tag sort — at the element
-// widths that matter: the 16-byte (key, tag) microbenchmark shape AND the
-// pipeline's 72-byte Entry, where tag sort earns its keep (the 9-word
-// CondSwap is bandwidth-bound, so narrowing the network to 24-byte tags
-// plus one Beneš payload pass wins).  An "auto" row records both the cost
-// model's pick (the "resolved" field) and its measured time, so the JSON
-// shows whether kAuto chose the winning column.
+// Sort-kernel perf trajectory: ns/element for each sort algorithm — the
+// reference network, the blocked bitonic network and the key/payload-
+// separated tag sort — on a 1-worker pool (the sequential kernels) and on
+// the global pool (the pool-parallel kernels), at the element widths that
+// matter: the 16-byte (key, tag) microbenchmark shape AND the pipeline's
+// 72-byte Entry, where tag sort earns its keep (the 9-word CondSwap is
+// bandwidth-bound, so narrowing the network to 24-byte tags plus one Beneš
+// payload pass wins).  An "auto" row records both the cost model's pick
+// (the "resolved" field) and its measured time, so the JSON shows whether
+// kAuto chose the winning column.
 //
 //   build/bench_sort_kernel            # JSON to stdout
 //   build/bench_sort_kernel --smoke    # small-n sanity run (CI smoke target)
 //
-// bench/run_benches.sh records the full run in BENCH_sort.json.  The
-// parallel rows use the global pool (OBLIVDB_THREADS pins its size).  Each
-// row reports "tasks", the concurrent sort tasks requested, and "workers",
-// the pool workers they ran on; the sequential rows run as one task on the
-// calling thread (1, 1).
+// bench/run_benches.sh records the full run in BENCH_sort.json.  Rows are
+// keyed by ("algorithm", "workers"): the policy name and the worker count
+// of the pool the sort ran on.  OBLIVDB_THREADS pins the global pool's
+// size; with a 1-worker global pool only the 1-worker rows are emitted.
+// "seconds" is the median of three runs (one under --smoke): single runs
+// of the pool-parallel rows swing by 3x on a shared VM.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/timer.h"
 #include "core/comparators.h"
@@ -75,14 +79,13 @@ double NsPerElement(double seconds, size_t n) {
 
 bool g_first = true;
 
-// `resolved` (optional): the concrete tier a kAuto run dispatched to.
-void Emit(const char* policy, unsigned tasks, unsigned workers,
-          size_t elem_bytes, size_t n, double seconds,
-          const char* resolved = nullptr) {
-  std::printf("%s    {\"policy\": \"%s\", \"tasks\": %u, \"workers\": %u, "
+// `resolved` (optional): the algorithm a kAuto run dispatched to.
+void Emit(const char* algorithm, unsigned workers, size_t elem_bytes,
+          size_t n, double seconds, const char* resolved = nullptr) {
+  std::printf("%s    {\"algorithm\": \"%s\", \"workers\": %u, "
               "\"elem_bytes\": %zu, \"n\": %zu, \"seconds\": %.6f, "
               "\"ns_per_element\": %.2f",
-              g_first ? "" : ",\n", policy, tasks, workers, elem_bytes, n,
+              g_first ? "" : ",\n", algorithm, workers, elem_bytes, n,
               seconds, NsPerElement(seconds, n));
   if (resolved != nullptr) std::printf(", \"resolved\": \"%s\"", resolved);
   std::printf("}");
@@ -90,50 +93,32 @@ void Emit(const char* policy, unsigned tasks, unsigned workers,
 }
 
 template <typename T, typename Less, typename MakeFn>
-void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
-  const unsigned pool_threads = ThreadPool::Global().worker_count();
-  Timer timer;
-  {
-    auto arr = make(n);
-    timer.Start();
-    obliv::BitonicSortRange(arr, 0, n, less);
-    Emit("reference", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    timer.Start();
-    obliv::BitonicSortBlocked(arr, less);
-    Emit("blocked", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  for (const unsigned tasks : {1u, 8u}) {
-    auto arr = make(n);
-    timer.Start();
-    obliv::BitonicSortParallel(arr, less, tasks);
-    Emit("blocked_parallel", tasks, pool_threads, sizeof(T), n,
-         timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    timer.Start();
-    obliv::BitonicSortTagged(arr, less);
-    Emit("tag", 1, 1, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    timer.Start();
-    obliv::BitonicSortRangeTaggedParallel(arr, 0, n, less);
-    Emit("tag_parallel", pool_threads, pool_threads, sizeof(T), n,
-         timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
+void BenchWidth(size_t n, int reps, const Less& less, const MakeFn& make) {
+  ThreadPool sequential(1);
+  ThreadPool& global = ThreadPool::Global();
+  auto run = [&](obliv::SortPolicy policy, ThreadPool& pool) {
     obliv::SortPolicy chosen = obliv::SortPolicy::kAuto;
-    timer.Start();
-    obliv::SortRange(arr, 0, n, less, obliv::SortPolicy::kAuto,
-                     /*comparisons=*/nullptr, /*pool=*/nullptr, &chosen);
-    Emit("auto", pool_threads, pool_threads, sizeof(T), n,
-         timer.ElapsedSeconds(), obliv::SortPolicyName(chosen));
+    std::vector<double> seconds;
+    for (int r = 0; r < reps; ++r) {
+      auto arr = make(n);
+      Timer timer;
+      obliv::SortRange(arr, 0, n, less, policy, /*comparisons=*/nullptr,
+                       &pool, &chosen);
+      seconds.push_back(timer.ElapsedSeconds());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    Emit(obliv::SortPolicyName(policy), pool.worker_count(), sizeof(T), n,
+         seconds[seconds.size() / 2],
+         policy == obliv::SortPolicy::kAuto ? obliv::SortPolicyName(chosen)
+                                            : nullptr);
+  };
+  run(obliv::SortPolicy::kReference, sequential);
+  for (ThreadPool* pool : {&sequential, &global}) {
+    if (pool == &global && global.worker_count() == 1) break;
+    run(obliv::SortPolicy::kBlocked, *pool);
+    run(obliv::SortPolicy::kTagSort, *pool);
   }
+  run(obliv::SortPolicy::kAuto, global);
 }
 
 }  // namespace
@@ -146,6 +131,7 @@ int main(int argc, char** argv) {
   const size_t smoke_sizes[] = {size_t{1} << 10};
   const size_t* sizes = smoke ? smoke_sizes : full_sizes;
   const size_t size_count = smoke ? 1 : 3;
+  const int reps = smoke ? 1 : 3;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"bitonic_sort\",\n");
@@ -154,8 +140,8 @@ int main(int argc, char** argv) {
 
   for (size_t s = 0; s < size_count; ++s) {
     const size_t n = sizes[s];
-    BenchWidth<Item>(n, ItemKeyLess{}, MakeItems);
-    BenchWidth<Entry>(n, core::ByJoinKeyThenTidLess{}, MakeEntries);
+    BenchWidth<Item>(n, reps, ItemKeyLess{}, MakeItems);
+    BenchWidth<Entry>(n, reps, core::ByJoinKeyThenTidLess{}, MakeEntries);
   }
 
   std::printf("\n  ]\n}\n");

@@ -1,29 +1,38 @@
 #!/usr/bin/env bash
 # CI smoke pass: configure a warning-strict build, compile everything
-# (-Wall -Wextra -Werror — any new warning fails the build), run the unit
-# tests four times — under the stock kBlocked default, with
-# SortPolicy::kAuto as the ExecContext default (OBLIVDB_SORT_POLICY=auto)
-# so a cost-model dispatch regression cannot hide, with order-aware sort
-# elision pinned off (OBLIVDB_SORT_ELISION=off) so both sides of the
-# elision flag stay green, and with sharded execution forced
-# (OBLIVDB_SHARDS=4) so every suite also passes through the k-way
-# partitioned pipelines, and with the plan optimizer pinned off
-# (OBLIVDB_OPTIMIZE=off) so the unrewritten plans stay byte-for-byte
-# healthy on their own — then run the small-n sort / distribute /
-# join-pipeline / shard / faults / optimizer / service benches and the
-# query-plan demo (plan-vs-direct cross-check).  A sixth pass rebuilds
-# under ASan+UBSan (-DOBLIVDB_SANITIZE=address,undefined) and runs the
-# whole suite with fault injection live (OBLIVDB_FAULT_SPEC), so the
-# recovery unwind paths are exercised leak- and UB-checked.  A seventh
-# pass rebuilds under TSan (-DOBLIVDB_SANITIZE=thread) and runs the
-# suite with the query service at 4 concurrent sessions
-# (OBLIVDB_SERVICE_SESSIONS=4), so the service's shared state — the
-# admission queue, both cache layers, the exclusive-trace lock — is
-# exercised race-checked.  An eighth pass runs the whole suite plus the
-# chaos harness with the resilience fault set live (worker crashes + the
-# transient environmental faults) at 4 sessions, so crash containment,
-# transparent retry and the circuit breaker absorb a real fault stream
-# while every byte-identity assertion stays green.
+# (-Wall -Wextra -Werror — any new warning fails the build), then run the
+# unit tests once per configuration below and the small-n benches:
+#
+#   1. stock: the kBlocked default on every core of the runner, so the
+#      pool-parallel sort kernels run wherever a sort reaches the
+#      fan-out floor (obliv::kSortFanOutMinLen, 2^16 elements);
+#   2. OBLIVDB_THREADS=1: a 1-worker pool, so every sort runs its
+#      sequential kernel (the pre-multicore default keeps full coverage);
+#   3. OBLIVDB_SORT_POLICY=auto: every operator sort through the kAuto
+#      cost-model resolution, so a dispatch regression cannot hide;
+#   4. OBLIVDB_SORT_ELISION=off: order-aware sort elision pinned off, so
+#      both sides of the elision flag stay green;
+#   5. OBLIVDB_SHARDS=4: sharded execution forced, so every suite also
+#      passes through the k-way partitioned pipelines;
+#   6. OBLIVDB_OPTIMIZE=off: the plan optimizer pinned off, so the
+#      unrewritten plans stay byte-for-byte healthy on their own;
+#
+# then the small-n sort / distribute / join-pipeline / shard / faults /
+# optimizer / service benches and the query-plan demo (plan-vs-direct
+# cross-check), and three more builds:
+#
+#   7. ASan+UBSan (-DOBLIVDB_SANITIZE=address,undefined), the whole suite
+#      with fault injection live (OBLIVDB_FAULT_SPEC), so the recovery
+#      unwind paths are exercised leak- and UB-checked;
+#   8. TSan (-DOBLIVDB_SANITIZE=thread), the suite with the query service
+#      at 4 concurrent sessions (OBLIVDB_SERVICE_SESSIONS=4), so the
+#      service's shared state — the admission queue, both cache layers,
+#      the exclusive-trace lock, the shared worker pool — is race-checked;
+#   9. chaos: the whole suite plus the chaos harness with the resilience
+#      fault set live (worker crashes + the transient environmental
+#      faults) at 4 sessions, so crash containment, transparent retry and
+#      the circuit breaker absorb a real fault stream while every
+#      byte-identity assertion stays green.
 #
 #   bench/smoke.sh [build-dir]      # default: build-smoke
 
@@ -35,23 +44,28 @@ build_dir="${1:-$repo_root/build-smoke}"
 cmake -B "$build_dir" -S "$repo_root" -DOBLIVDB_WERROR=ON >/dev/null
 cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Second pass with the cost-model default: every operator sort now goes
-# through the kAuto resolution (pool pinned to 4 workers so the parallel
-# tiers are eligible even on a 1-core CI box).
+# Pass 2, a 1-worker global pool: every sort runs its algorithm's
+# sequential kernel, which the stock pass above only reaches on a 1-core
+# runner.
+OBLIVDB_THREADS=1 \
+  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+# Pass 3, the cost-model default: every operator sort goes through the
+# kAuto resolution (pool pinned to 4 workers so the parallel kernels
+# engage even on a 1-core CI box).
 OBLIVDB_SORT_POLICY=auto OBLIVDB_THREADS=4 \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Third pass with order-aware sort elision pinned off: the no-hint /
+# Pass 4, order-aware sort elision pinned off: the no-hint /
 # no-elision paths must stay byte-for-byte healthy on their own (the
 # default-on runs above already cover elision engaged).
 OBLIVDB_SORT_ELISION=off \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Fourth pass with sharded execution forced on every plan join/aggregate
+# Pass 5, sharded execution forced on every plan join/aggregate
 # (core/shard.h): every suite must stay byte-for-byte green when the
 # operators run as k concurrent per-shard pipelines.
 OBLIVDB_SHARDS=4 OBLIVDB_THREADS=4 \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Sixth pass with the plan optimizer pinned off: every suite must stay
-# green when plans execute exactly as written (the default-on runs above
+# Pass 6, the plan optimizer pinned off: every suite must stay green
+# when plans execute exactly as written (the default-on runs above
 # already cover the rewrite pass engaged).
 OBLIVDB_OPTIMIZE=off \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
@@ -81,7 +95,7 @@ cmake --build "$build_dir" --target bench_smoke
 # cache/batching/session-count variant, and the cache-on rows must hit.
 "$build_dir/bench_service" --smoke >/dev/null
 cmake --build "$build_dir" --target plan_smoke
-# Final pass: rebuild under ASan+UBSan and run the whole suite with a
+# Pass 7: rebuild under ASan+UBSan and run the whole suite with a
 # low-rate transient-MAC fault stream live, so the retry and unwind
 # machinery runs sanitized.  robustness_test then re-runs alone under a
 # hotter multi-site spec (every-3rd EPC refusal, every-2nd spawn refusal).
@@ -98,7 +112,7 @@ if [ -x "$san_dir/robustness_test" ]; then
     "$san_dir/robustness_test" --gtest_brief=1
 fi
 OBLIVDB_FAULT_SPEC="decrypt_mac:0.01" "$san_dir/bench_faults" --smoke >/dev/null
-# Seventh pass: rebuild under TSan and run the suite with the query
+# Pass 8: rebuild under TSan and run the suite with the query
 # service at 4 concurrent sessions, so session workers, the admission
 # queue, the plan/artifact caches and the shared-exclusive trace lock all
 # run race-checked.  sort_kernel_test is excluded: its perf-bar assertion
@@ -113,7 +127,7 @@ OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   -E '^sort_kernel_test$'
 OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   "$tsan_dir/bench_service" --smoke >/dev/null
-# Eighth pass: chaos.  The whole suite runs with worker crashes and the
+# Pass 9: chaos.  The whole suite runs with worker crashes and the
 # transient environmental faults live at 4 concurrent sessions — crash
 # containment requeues/respawns, transparent retry rescues transients, and
 # every byte-identity assertion must still hold.  (`alloc` stays out of

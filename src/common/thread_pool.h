@@ -59,9 +59,9 @@ class ThreadPool {
 
   // Fault-injection admission probe for a parallel fan-out: false models a
   // failed task spawn (fault site "pool_spawn", common/fault.h), and the
-  // caller degrades to its sequential tier instead of submitting.  Submit
+  // caller degrades to its sequential kernel instead of submitting.  Submit
   // itself never fails — once admitted, tasks always run — so correctness
-  // never depends on the probe's answer, only the execution tier does.
+  // never depends on the probe's answer, only the execution kernel does.
   bool TrySpawnProbe();
 
   // Runs one queued task on the calling thread; returns false if the queue

@@ -50,13 +50,13 @@ std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
   // pattern on the join's entry sort).
   // Like the join's entry sort, the elision is cost-arbitrated: merge only
   // when the model says [per-run sorts + one merge] beats the full union
-  // sort under the current policy and worker count (RunMergePays).
+  // sort under the current policy (RunMergePays).
   const bool cov_left = hints.left.Covers(OrderSpec::ByKey());
   const bool cov_right = hints.right.Covers(OrderSpec::ByKey());
   const bool merge_entry =
       ctx.sort_elision && (cov_left || cov_right) &&
       obliv::RunMergePays<Entry, ByJoinKeyThenTidLess>(
-          ctx.sort_policy, n1, cov_left, n2, cov_right, ctx.pool);
+          ctx.sort_policy, n1, cov_left, n2, cov_right);
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, 0, n1, ByJoinKeyThenTidLess{}, ctx.sort_policy,

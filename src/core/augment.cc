@@ -106,15 +106,15 @@ AugmentResult AugmentTables(const Table& table1, const Table& table2,
   // may land in a different d-arrangement than the full sort's, but the
   // second sort below is full-width and canonicalizes it.
   // The cost model arbitrates merge-vs-full-sort instead of eliding
-  // unconditionally: at scale, a parallel full sort of the union can beat a
-  // sequential merge plus a per-run sort.  All inputs public (sizes,
-  // coverage from plan shape, policy, worker count) — see RunMergePays.
+  // unconditionally: when the uncovered run dominates, one full sort of the
+  // union can beat a per-run sort plus a merge.  All inputs public (sizes,
+  // coverage from plan shape, policy) — see RunMergePays.
   const bool cov_left = hints.left.Covers(OrderSpec::ByKey());
   const bool cov_right = hints.right.Covers(OrderSpec::ByKey());
   const bool merge_entry =
       ctx.sort_elision && (cov_left || cov_right) &&
       obliv::RunMergePays<Entry, ByJoinKeyThenTidLess>(
-          sort_policy, n1, cov_left, n2, cov_right, ctx.pool);
+          sort_policy, n1, cov_left, n2, cov_right);
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, 0, n1, ByJoinKeyThenTidLess{}, sort_policy,

@@ -72,20 +72,22 @@ class CollectingStatsSink : public StatsSink {
 };
 
 struct ExecContext {
-  // The single source of truth for the library-wide default sort tier
-  // (previously copied into every operator signature).  This is the
-  // compile-time fallback; a freshly constructed context actually starts
-  // from DefaultSortPolicy(), which honours the OBLIVDB_SORT_POLICY
-  // environment override.
+  // The single source of truth for the library-wide default sort
+  // algorithm.  This is the compile-time fallback; a freshly constructed
+  // context actually starts from DefaultSortPolicy(), which honours the
+  // OBLIVDB_SORT_POLICY environment override.  kBlocked runs on every
+  // worker of `pool` once a sort reaches obliv::kSortFanOutMinLen (2^16)
+  // elements, so the default is multicore; the policy never sets a worker
+  // count.
   static constexpr obliv::SortPolicy kDefaultSortPolicy =
       obliv::SortPolicy::kBlocked;
 
-  // The process-wide default sort tier: OBLIVDB_SORT_POLICY (one of
-  // "reference", "blocked", "parallel", "tag", "parallel_tag", "auto" —
-  // obliv::SortPolicyName's vocabulary) when set to a recognized name,
-  // kDefaultSortPolicy otherwise.  Read once and cached; CI uses it to run
-  // the whole test suite under SortPolicy::kAuto without code changes
-  // (bench/smoke.sh).  Public configuration, like everything in here.
+  // The process-wide default sort algorithm: OBLIVDB_SORT_POLICY (one of
+  // "reference", "blocked", "tag", "auto" — obliv::SortPolicyName's
+  // vocabulary) when set to a recognized name, kDefaultSortPolicy
+  // otherwise.  Read once and cached; CI uses it to run the whole test
+  // suite under SortPolicy::kAuto without code changes (bench/smoke.sh).
+  // Public configuration, like everything in here.
   static obliv::SortPolicy DefaultSortPolicy();
 
   // The process-wide default for `sort_elision`: OBLIVDB_SORT_ELISION set
@@ -143,12 +145,15 @@ struct ExecContext {
   // settings).
   bool optimize = DefaultOptimize();
 
-  // Worker pool for the operators' parallel phases (kParallel /
-  // kParallelTag sorts, Beneš switch planning and column fan-out);
-  // forwarded to obliv::SortRange by every operator.  nullptr means
-  // ThreadPool::Global(), whose size honours the OBLIVDB_THREADS
-  // environment override — the worker count also feeds the kAuto cost
-  // model, so pinning it pins the policy resolution.
+  // Worker pool for the operators' parallel phases (the blocked and tag
+  // sorts' fan-out, Beneš switch planning and column fan-out); forwarded
+  // to obliv::SortRange by every operator.  This is the only parallelism
+  // control: a 1-worker pool runs every sort on its algorithm's
+  // sequential kernel, which sorts byte- and trace-identically to the
+  // pool-parallel one.  nullptr means ThreadPool::Global(), whose size
+  // honours the OBLIVDB_THREADS environment override — the worker count
+  // also feeds the kAuto cost model, so pinning it pins the policy
+  // resolution.
   ThreadPool* pool = nullptr;
 
   // Out-parameter: filled by the most recent operator executed under this

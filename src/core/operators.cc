@@ -140,13 +140,13 @@ Table SemiOrAntiJoin(const Table& t1, const Table& t2, bool want_match,
   // sorted one byte for byte.
   // Cost-arbitrated like the join's entry sort: merge only when the model
   // says [per-run sorts + one merge] beats the full union sort under the
-  // current policy and worker count (RunMergePays).
+  // current policy (RunMergePays).
   const bool cov_left = hints.left.Covers(OrderSpec::ByKeyData());
   const bool cov_right = hints.right.Covers(OrderSpec::ByKeyData());
   const bool merge_entry =
       ctx.sort_elision && (cov_left || cov_right) &&
       obliv::RunMergePays<Entry, ByJoinKeyThenTidThenDataLess>(
-          ctx.sort_policy, n1, cov_left, n2, cov_right, ctx.pool);
+          ctx.sort_policy, n1, cov_left, n2, cov_right);
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKeyData())) {
       obliv::SortRange(arr, 0, n1, ByJoinKeyThenTidThenDataLess{},

@@ -125,20 +125,10 @@ void ObliviousDistributeProbabilistic(memtrace::OArray<T>& a, size_t n,
                : DistributeUndo::kFullSort;
   }
   uint64_t* comparisons = stats != nullptr ? &stats->sort_comparisons : nullptr;
-  if (undo == DistributeUndo::kTagSort) {
-    // Take the pool-parallel tag tier only where its tag phase can
-    // actually fan out; below that floor don't even touch the pool
-    // (ThreadPool::Global() spawns its workers on first use — the same
-    // small-sort hygiene as SortRange's kAuto path).
-    SortPolicy tag_policy = SortPolicy::kTagSort;
-    if (m >= internal::kParallelCutoff &&
-        (pool != nullptr ? *pool : ThreadPool::Global()).worker_count() > 1) {
-      tag_policy = SortPolicy::kParallelTag;
-    }
-    Sort(scattered, NullsLastByDestLess{}, tag_policy, comparisons, pool);
-  } else {
-    Sort(scattered, NullsLastByDestLess{}, sort_policy, comparisons, pool);
-  }
+  // The tag path's worker count is the pool's, like every other sort.
+  Sort(scattered, NullsLastByDestLess{},
+       undo == DistributeUndo::kTagSort ? SortPolicy::kTagSort : sort_policy,
+       comparisons, pool);
 
   for (size_t s = 0; s < m; ++s) a.Write(s, scattered.Read(s));
 }

@@ -22,7 +22,7 @@
 // sort kernel's staging block (obliv/sort_block.h): local memory is
 // invisible to the adversary by the model of §3.1, and nothing
 // data-dependent ever surfaces in the public access sequence.  The
-// trade-off is documented in README.md ("sort tiers").
+// trade-off is documented in README.md ("Sort architecture").
 
 #ifndef OBLIVDB_OBLIV_PERMUTE_H_
 #define OBLIVDB_OBLIV_PERMUTE_H_

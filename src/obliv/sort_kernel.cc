@@ -110,8 +110,8 @@ internal::SortCostModel CalibrateSortCostModel(ThreadPool* pool_override) {
   const unsigned workers = pool.worker_count();
   internal::SortCostModel model;
   model.calibrated = true;
-  // One worker: the parallel tiers are never eligible and there is no
-  // scaling to measure — keep the fitted defaults.
+  // One worker: the parallel kernels never engage and there is no scaling
+  // to measure — keep the fitted defaults.
   if (workers <= 1) return model;
 
   // Narrow elements scale compute-bound: the measured speedup divided by

@@ -1,18 +1,26 @@
 // SortPolicy dispatch: one call site, any execution of the same logical
 // sort.  The policy vocabulary itself lives in obliv/sort_policy.h (see its
-// header comment for the tier-by-tier contract); this header composes the
-// kernels — reference network, blocked, pool-parallel, tag sort, parallel
-// tag sort — and resolves SortPolicy::kAuto through a small measured cost
-// model.
+// header comment for the per-algorithm contract); this header composes the
+// kernels — reference network, blocked bitonic network, tag sort, each of
+// the last two sequential or pool-parallel — and resolves SortPolicy::kAuto
+// through a small measured cost model.
 //
-// The kAuto model estimates per-element nanoseconds for every *eligible*
-// tier from four public quantities — element width, tag width (0 when the
-// comparator has no faithful SortKey projection), range length, and pool
-// worker count — and dispatches the argmin.  All four inputs are public
+// A sort's algorithm comes from the policy; its worker count comes only
+// from the pool it is handed (nullptr = ThreadPool::Global(), sized by
+// OBLIVDB_THREADS).  kBlocked and kTagSort run their pool-parallel kernels
+// when the pool has more than one worker and the range holds at least
+// kSortFanOutMinLen elements, and their sequential kernels otherwise.  Both
+// kernels of an algorithm produce the same element order, comparison count
+// and traced event stream, so a 1-worker pool reproduces the sequential
+// kernels exactly and the worker count changes only wall time.
+//
+// The kAuto model prices an (algorithm, workers) pair per element from
+// four public quantities — element width, tag width (0 when the comparator
+// has no faithful SortKey projection), range length, and pool worker count
+// — and dispatches the cheaper algorithm.  All four inputs are public
 // configuration or revealed sizes, so the resolution is itself a public
 // function and traced runs stay input-independent.  The constants are
-// fitted to BENCH_sort.json (single-core container; see README "Sort
-// tiers"):
+// fitted to BENCH_sort.json (see README "Sort architecture"):
 //
 //   * the blocked kernel costs ~1 ns per word per compare-exchange while an
 //     element fits the cache line budget, ~2.4 ns once wide elements turn
@@ -23,12 +31,12 @@
 //     ~25 ns per element per network level.
 //
 // With these constants the model reproduces the measured crossovers: tag
-// sort overtakes the blocked kernel on 72-byte entries between 2^13 and
-// 2^14 and never wins on 16-byte items; the parallel tiers need both a
-// multi-worker pool and >= 2^14 elements to amortize the fork-join cost.
+// sort overtakes the blocked network on 72-byte entries between 2^13 and
+// 2^14 and never wins on 16-byte items; the parallel kernels need both a
+// multi-worker pool and >= kSortFanOutMinLen (2^16) elements to engage.
 //
-// Every policy preserves level II obliviousness; the policy choice itself
-// is public configuration.  tests/sort_kernel_test.cc and
+// Every policy preserves level II obliviousness; the policy choice and the
+// worker count are public configuration.  tests/sort_kernel_test.cc and
 // tests/tag_sort_test.cc pin the equivalences.
 
 #ifndef OBLIVDB_OBLIV_SORT_KERNEL_H_
@@ -47,6 +55,19 @@
 #include "obliv/tag_sort.h"
 
 namespace oblivdb::obliv {
+
+// SortRange fans a sort out onto a multi-worker pool only from this many
+// elements on; shorter sorts run their algorithm's sequential kernel.
+// (internal::kParallelCutoff is the parallel kernel's own leaf size, not
+// this floor.)  Measured on a 4-vCPU VM, 72-byte entries, 4 workers vs the
+// sequential blocked kernel: no speedup from 2^12 to 2^15 (0.98-1.14x)
+// against 3.0-3.7x at 2^16 and 2.8-3.0x at 2^17.  Below the floor the
+// fork-join barriers also cost more than the work they split whenever
+// other threads compete for the cores: two query sessions fanning out
+// 12288-row sorts onto one 4-worker pool slowed 74% under three busy
+// competing threads, the sequential kernels 12%.  A public constant, so
+// the choice leaks nothing.
+inline constexpr size_t kSortFanOutMinLen = size_t{1} << 16;
 
 namespace internal {
 
@@ -130,11 +151,13 @@ internal::SortCostModel CalibrateSortCostModel(ThreadPool* pool = nullptr);
 internal::SortCostModel CalibrateSortCostModelShared(ThreadPool* pool =
                                                          nullptr);
 
-// Estimated per-element cost of running `policy` on n elements of
-// elem_bytes, with tags of tag_bytes (0 = comparator not TagProjectable)
-// and a `workers`-thread pool.  Exposed for the bench and tests; the
-// absolute numbers only matter insofar as they rank the tiers correctly at
-// the decision boundaries.
+// Estimated per-element cost of running algorithm `policy` on n elements
+// of elem_bytes, with tags of tag_bytes (0 = comparator not
+// TagProjectable), on a `workers`-thread pool.  The worker count only
+// matters where SortRange actually fans out (workers > 1 and n >=
+// kSortFanOutMinLen).  Exposed for the bench and tests; the absolute numbers
+// only matter insofar as they rank the algorithms correctly at the
+// decision boundaries.
 inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
                                        size_t tag_bytes, size_t n,
                                        unsigned workers) {
@@ -150,35 +173,31 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
                              static_cast<double>(elem_bytes / 8) *
                              (2.0 * levels - 1.0) / 2.0;
   const double benes_plan = kPlanLevelNs * levels;
+  // SortRange's fan-out condition: below it the sequential kernel runs
+  // outright — no speedup, no fork-join cost.
+  const bool fan_out = workers > 1 && n >= kSortFanOutMinLen;
   switch (policy) {
     case SortPolicy::kReference:
       // Four sink-tested by-value accesses per exchange: ~2x the blocked
       // kernel at every width (BENCH_sort.json); never the argmin, present
-      // for completeness.
+      // for completeness.  Always single-threaded.
       return 2.0 * full_network;
     case SortPolicy::kBlocked:
-      return full_network;
-    case SortPolicy::kParallel:
-      // Below the task cutoff the parallel kernel runs the blocked path
-      // outright: no speedup, no fork-join cost.
-      if (n < kParallelCutoff) return full_network;
+      if (!fan_out) return full_network;
       return full_network / PassSpeedup(elem_bytes, workers) +
              kForkJoinNs * inv_n;
-    case SortPolicy::kTagSort:
-      return tag_network + benes_gates + benes_plan;
-    case SortPolicy::kParallelTag: {
+    case SortPolicy::kTagSort: {
+      if (!fan_out) return tag_network + benes_gates + benes_plan;
       // The narrow network fans out compute-bound, the Beneš columns
       // bandwidth-capped, and the planner per-level (plan_speedup_cap).
-      // Each phase is only credited with a speedup its kernel actually
-      // delivers: ApplyParallel runs sequential below its network-size
-      // floor, and the tag network below the task cutoff.
-      const double tag_speedup =
-          n >= kParallelCutoff ? PassSpeedup(tag_bytes, workers) : 1.0;
+      // The columns are only credited with a speedup above the network
+      // size floor where ApplyParallel actually fans out.
       const double gate_speedup =
           CeilPow2(n) >= BenesNetwork::kMinParallelApplySize
               ? PassSpeedup(elem_bytes, workers)
               : 1.0;
-      return tag_network / tag_speedup + benes_gates / gate_speedup +
+      return tag_network / PassSpeedup(tag_bytes, workers) +
+             benes_gates / gate_speedup +
              benes_plan /
                  ParallelSpeedup(workers, CostModel().plan_speedup_cap) +
              kForkJoinNs * inv_n;
@@ -190,35 +209,23 @@ inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
   return 0.0;
 }
 
-// Resolves kAuto to the cheapest eligible concrete tier for a sort of n
-// elements of elem_bytes width (tag_bytes = 0 when the comparator has no
-// faithful projection).  Non-kAuto policies pass through unchanged.  The
-// inputs are all public, so the resolution leaks nothing.
+// Resolves kAuto to the cheaper eligible algorithm — kBlocked or kTagSort
+// — for a sort of n elements of elem_bytes width on a `workers`-thread
+// pool (tag_bytes = 0 when the comparator has no faithful projection).
+// Non-kAuto policies pass through unchanged.  The inputs are all public,
+// so the resolution leaks nothing.
 inline SortPolicy ResolveSortPolicy(SortPolicy policy, size_t elem_bytes,
                                     size_t tag_bytes, size_t n,
                                     unsigned workers) {
   if (policy != SortPolicy::kAuto) return policy;
-  SortPolicy best = SortPolicy::kBlocked;
-  double best_ns = EstimateSortNsPerElement(best, elem_bytes, tag_bytes, n,
-                                            workers);
-  auto consider = [&](SortPolicy candidate) {
-    const double ns =
-        EstimateSortNsPerElement(candidate, elem_bytes, tag_bytes, n, workers);
-    if (ns < best_ns) {
-      best = candidate;
-      best_ns = ns;
-    }
-  };
-  if (workers > 1 && n >= internal::kParallelCutoff) {
-    consider(SortPolicy::kParallel);
+  if (tag_bytes != 0 && n >= kTagSortMinLen &&
+      EstimateSortNsPerElement(SortPolicy::kTagSort, elem_bytes, tag_bytes, n,
+                               workers) <
+          EstimateSortNsPerElement(SortPolicy::kBlocked, elem_bytes,
+                                   tag_bytes, n, workers)) {
+    return SortPolicy::kTagSort;
   }
-  if (tag_bytes != 0 && n >= kTagSortMinLen) {
-    consider(SortPolicy::kTagSort);
-    if (workers > 1 && n >= internal::kParallelCutoff) {
-      consider(SortPolicy::kParallelTag);
-    }
-  }
-  return best;
+  return SortPolicy::kBlocked;
 }
 
 // Cost-model arbiter for the run-merge elision (core/order.h): given two
@@ -227,36 +234,33 @@ inline SortPolicy ResolveSortPolicy(SortPolicy policy, size_t elem_bytes,
 // O(n log n) bitonic merge] estimated cheaper than one full O(n log^2 n)
 // sort of the concatenation under `policy`?  Ties keep the merge (the
 // pre-cost-model behaviour).  Every input is public — sizes, coverage
-// flags derived from plan shape, the policy, the pool's worker count — so
-// the decision is a pure function of public state; and because the merge's
-// per-element cost is levels/2 compare-exchanges against the full sort's
-// levels^2/4, the merge wins everywhere the older unconditional elision
-// fired on one thread, keeping existing single-threaded elision counts
-// stable.  The sequential-merge model (no PassSpeedup credit) is
-// deliberate: the merge path in core/order.h runs single-threaded.
+// flags derived from plan shape, the policy — so the decision is a pure
+// function of public state; and because the merge's per-element cost is
+// levels/2 compare-exchanges against the full sort's levels^2/4, the merge
+// wins everywhere the older unconditional elision fired, keeping elision
+// counts stable.  Both sides are priced at one worker, whatever the pool:
+// the merge path in core/order.h runs single-threaded, crediting only the
+// full sort with the pool's speedup did not make the plans it flipped any
+// faster (bench_join_pipeline's star join), and a pool-independent
+// decision keeps a plan's elisions — and so its trace — the same on every
+// worker count.
 template <typename T, typename Less>
   requires CtLess<Less, T>
 bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
-                  bool covered2, ThreadPool* pool = nullptr) {
+                  bool covered2) {
   const size_t n = n1 + n2;
   if (n < 2) return true;
   size_t tag_bytes = 0;
   if constexpr (TagProjectable<Less, T>) {
     tag_bytes = 8 * (Less::kSortKeyWords + 1);
   }
-  // Mirror SortRange's worker probe: below the parallel cutoff no parallel
-  // tier is eligible, so do not force the global pool to spawn.
-  auto workers_for = [&](size_t len) -> unsigned {
-    if (len < internal::kParallelCutoff) return 1;
-    return (pool != nullptr ? *pool : ThreadPool::Global()).worker_count();
-  };
   auto sort_ns = [&](size_t len) -> double {
     if (len < 2) return 0.0;
-    const unsigned w = workers_for(len);
     const SortPolicy resolved =
-        ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, w);
+        ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, /*workers=*/1);
     return static_cast<double>(len) *
-           EstimateSortNsPerElement(resolved, sizeof(T), tag_bytes, len, w);
+           EstimateSortNsPerElement(resolved, sizeof(T), tag_bytes, len,
+                                    /*workers=*/1);
   };
   const double full_ns = sort_ns(n);
   // One bitonic merge stage: log2(ceil_pow2(n)) levels of n/2
@@ -269,13 +273,13 @@ bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
   return merge_ns <= full_ns;
 }
 
-// Policy dispatchers: one call site, any implementation.  `pool` is the
-// worker pool for the parallel tiers (kParallel's task fan-out, kTagSort's
-// Beneš switch planning, kParallelTag's column fan-out); nullptr means the
-// process-wide ThreadPool::Global().  The relational layer passes
-// ExecContext::pool.  `chosen` (optional) receives the concrete tier that
-// ran — interesting under kAuto; operators record it in
-// JoinStats::op_sort_policy_chosen.
+// Policy dispatchers: one call site, any implementation.  `pool` supplies
+// the workers (kBlocked's task fan-out, kTagSort's tag network, Beneš
+// switch planning and column fan-out); nullptr means the process-wide
+// ThreadPool::Global().  The relational layer passes ExecContext::pool.
+// `chosen` (optional) receives the algorithm that ran — interesting under
+// kAuto; operators record it in JoinStats::op_sort_policy_chosen.  It does
+// not depend on the worker count.
 template <typename T, typename Less>
   requires CtLess<Less, T>
 void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
@@ -285,80 +289,59 @@ void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
   // Cancellation checkpoint: one per operator sort.  The sort's position
   // and length are public, so the poll is oblivious-safe (common/cancel.h).
   Checkpoint("sort");
-  if (policy == SortPolicy::kAuto) {
-    size_t tag_bytes = 0;
-    if constexpr (TagProjectable<Less, T>) {
-      tag_bytes = 8 * (Less::kSortKeyWords + 1);
-    }
-    // Below the parallel cutoff no parallel tier is eligible, so don't
-    // touch the pool at all — ThreadPool::Global() spawns its workers on
-    // first use, and a small kAuto sort should not pay that side effect.
-    unsigned workers = 1;
-    if (len >= internal::kParallelCutoff) {
-      workers = (pool != nullptr ? *pool : ThreadPool::Global())
-                    .worker_count();
-    }
-    policy = ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, workers);
+  // Below the fan-out floor nothing fans out, so don't touch the pool at
+  // all — ThreadPool::Global() spawns its workers on first use, and a small
+  // sort should not pay that side effect.
+  unsigned workers = 1;
+  if (policy != SortPolicy::kReference && len >= kSortFanOutMinLen) {
+    workers = (pool != nullptr ? *pool : ThreadPool::Global()).worker_count();
   }
+  size_t tag_bytes = 0;
+  if constexpr (TagProjectable<Less, T>) {
+    tag_bytes = 8 * (Less::kSortKeyWords + 1);
+  }
+  policy = ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, workers);
   // Resolve every whole-path fallback *before* recording, so `chosen`
-  // reports the tier that actually executes (the contract of
+  // reports the algorithm that actually executes (the contract of
   // op_sort_policy_chosen and the annotated ExplainPlan).  Comparators
-  // without a faithful projection cannot run the tag tiers; below the
-  // kernels' public size floors the tag and parallel paths run the blocked
-  // kernel outright (mirrors of the conditions inside
-  // BitonicSortRangeTaggedImpl and BitonicSortRangeParallel).  A
-  // kParallelTag at or above the tag floor stays kParallelTag even when an
-  // inner phase degrades (e.g. the Beneš columns below their 2^14 fan-out
-  // floor): the key/payload-separated path is still what runs.
-  if constexpr (!TagProjectable<Less, T>) {
-    if (policy == SortPolicy::kTagSort) policy = SortPolicy::kBlocked;
-    if (policy == SortPolicy::kParallelTag) policy = SortPolicy::kParallel;
-  }
-  if ((policy == SortPolicy::kTagSort || policy == SortPolicy::kParallelTag) &&
-      len < kTagSortMinLen) {
+  // without a faithful projection cannot tag-sort, and below the tag
+  // floor the blocked kernel runs outright (the mirror of the condition
+  // inside BitonicSortRangeTaggedImpl).
+  if (policy == SortPolicy::kTagSort &&
+      (!TagProjectable<Less, T> || len < kTagSortMinLen)) {
     policy = SortPolicy::kBlocked;
-  }
-  if (policy == SortPolicy::kParallel &&
-      (len < internal::kParallelCutoff ||
-       (pool != nullptr ? *pool : ThreadPool::Global()).worker_count() <=
-           1)) {
-    policy = SortPolicy::kBlocked;
-  }
-  // Graceful degradation (common/fault.h): before fanning out, the
-  // parallel tiers probe for a failed task spawn (fault site "pool_spawn")
-  // and fall back to their sequential equivalents — kParallelTag keeps the
-  // key/payload separation as kTagSort, kParallel keeps the blocked kernel.
-  // Every tier sorts to the same element order, and each downgraded tier's
-  // trace is byte-identical to its parallel sibling's (the PR 2/PR 4
-  // equivalence contracts), so a degraded run's output and trace are
-  // unchanged; only wall time moves.  The probe consults only the injector
-  // (spec, seed, arrival count) — never the data.
-  if (policy == SortPolicy::kParallel || policy == SortPolicy::kParallelTag) {
-    if (!(pool != nullptr ? *pool : ThreadPool::Global()).TrySpawnProbe()) {
-      policy = policy == SortPolicy::kParallelTag ? SortPolicy::kTagSort
-                                                  : SortPolicy::kBlocked;
-      FaultInjector::Global().RecordDegradation();
-    }
   }
   if (chosen != nullptr) *chosen = policy;
+  // Graceful degradation (common/fault.h): before fanning out, probe for a
+  // failed task spawn (fault site "pool_spawn") and fall back to the
+  // algorithm's sequential kernel.  Both kernels sort to the same element
+  // order with a byte-identical trace, so a degraded run's output and
+  // trace are unchanged; only wall time moves.  The probe consults only
+  // the injector (spec, seed, arrival count) — never the data.
+  bool parallel = workers > 1;
+  if (parallel &&
+      !(pool != nullptr ? *pool : ThreadPool::Global()).TrySpawnProbe()) {
+    parallel = false;
+    FaultInjector::Global().RecordDegradation();
+  }
   switch (policy) {
     case SortPolicy::kBlocked:
-      BitonicSortRangeBlocked(a, lo, len, less, comparisons);
-      break;
-    case SortPolicy::kParallel:
-      BitonicSortRangeParallel(a, lo, len, less, /*threads=*/0, comparisons,
-                               internal::kCrossPassChunk, pool);
+      if (parallel) {
+        BitonicSortRangeParallel(a, lo, len, less, /*threads=*/0, comparisons,
+                                 internal::kCrossPassChunk, pool);
+      } else {
+        BitonicSortRangeBlocked(a, lo, len, less, comparisons);
+      }
       break;
     case SortPolicy::kTagSort:
       if constexpr (TagProjectable<Less, T>) {
-        BitonicSortRangeTagged(a, lo, len, less, comparisons, kSortBlockBytes,
-                               pool);
-      }
-      break;
-    case SortPolicy::kParallelTag:
-      if constexpr (TagProjectable<Less, T>) {
-        BitonicSortRangeTaggedParallel(a, lo, len, less, comparisons,
-                                       kSortBlockBytes, pool);
+        if (parallel) {
+          BitonicSortRangeTaggedParallel(a, lo, len, less, comparisons,
+                                         kSortBlockBytes, pool);
+        } else {
+          BitonicSortRangeTagged(a, lo, len, less, comparisons,
+                                 kSortBlockBytes, pool);
+        }
       }
       break;
     case SortPolicy::kReference:

@@ -8,9 +8,7 @@ const char* SortPolicyName(SortPolicy policy) {
   switch (policy) {
     case SortPolicy::kReference: return "reference";
     case SortPolicy::kBlocked: return "blocked";
-    case SortPolicy::kParallel: return "parallel";
     case SortPolicy::kTagSort: return "tag";
-    case SortPolicy::kParallelTag: return "parallel_tag";
     case SortPolicy::kAuto: return "auto";
   }
   OBLIVDB_CHECK(false);
@@ -19,8 +17,8 @@ const char* SortPolicyName(SortPolicy policy) {
 
 SortPolicy SortPolicyFromName(std::string_view name, SortPolicy fallback) {
   for (const SortPolicy policy :
-       {SortPolicy::kReference, SortPolicy::kBlocked, SortPolicy::kParallel,
-        SortPolicy::kTagSort, SortPolicy::kParallelTag, SortPolicy::kAuto}) {
+       {SortPolicy::kReference, SortPolicy::kBlocked, SortPolicy::kTagSort,
+        SortPolicy::kAuto}) {
     if (name == SortPolicyName(policy)) return policy;
   }
   return fallback;

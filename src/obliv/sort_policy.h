@@ -1,43 +1,46 @@
-// SortPolicy: one knob, six ways to execute the same logical sort.
+// SortPolicy: which sorting algorithm runs a logical sort.  How many
+// workers run it is not part of the policy: that comes only from the
+// ThreadPool the sort is handed (ExecContext::pool, else
+// ThreadPool::Global(), sized by OBLIVDB_THREADS).
 //
 // The enum lives in its own header (rather than obliv/sort_kernel.h, which
 // holds the dispatcher) so that lightweight consumers — core/stats.h records
-// the tier an operator actually ran, core/exec_context.h parses the
+// the algorithm an operator actually ran, core/exec_context.h parses the
 // OBLIVDB_SORT_POLICY default — can name policies without pulling in the
 // sorting-network templates.
 //
-//   kReference   — the recursive network of bitonic_sort.h; four
-//                  individually sink-tested OArray accesses per
-//                  compare-exchange.  The semantic baseline.
-//   kBlocked     — the cache-blocked kernel of sort_block.h.  Identical
-//                  comparator schedule, element order, comparison count and
-//                  (when traced) bit-identical access trace; simply faster.
-//   kParallel    — the task-parallel network of parallel_sort.h on the
-//                  persistent ThreadPool.  Same schedule; traced runs replay
-//                  per-task buffers in deterministic order, so the log is
-//                  again bit-identical to the reference.
-//   kTagSort     — the key/payload-separated path of tag_sort.h: sort narrow
-//                  (key, index) tags with the blocked kernel, then route the
-//                  wide payloads through one Beneš pass (permute.h).  Same
-//                  element order and comparison count; the access trace is a
-//                  *different* — but still input-independent — function of
-//                  the range length.  Requires a faithful SortKey projection
-//                  (sort_key.h); comparators without one fall back to
-//                  kBlocked.
-//   kParallelTag — kTagSort with both phases on the ThreadPool: the narrow
-//                  tag sort runs on the kParallel tier and the Beneš payload
-//                  columns are applied gate-chunk-parallel (permute.h).
-//                  Byte-identical trace to kTagSort (deterministic replay);
-//                  falls back to kParallel without a projection.
-//   kAuto        — not an execution tier: SortRange resolves it to one of
-//                  the above via the measured cost model in sort_kernel.h
-//                  (element width, tag width, n, pool size — all public, so
-//                  the resolution leaks nothing).  The resolved tier can be
-//                  recorded per operator (JoinStats::op_sort_policy_chosen)
-//                  and shows up in the annotated ExplainPlan.
+//   kReference — the recursive network of bitonic_sort.h; four
+//                individually sink-tested OArray accesses per
+//                compare-exchange.  The semantic baseline and test oracle;
+//                always single-threaded.
+//   kBlocked   — the bitonic network on the cache-blocked kernel of
+//                sort_block.h.  With a multi-worker pool and a range of at
+//                least kSortFanOutMinLen elements (sort_kernel.h) it runs
+//                task-parallel (parallel_sort.h); traced runs replay
+//                per-task buffers in deterministic order.  Either way:
+//                identical comparator schedule, element order, comparison
+//                count and (when traced) bit-identical access trace to
+//                kReference.
+//   kTagSort   — the key/payload-separated path of tag_sort.h: sort narrow
+//                (key, index) tags, then route the wide payloads through
+//                one Beneš pass (permute.h).  With a multi-worker pool the
+//                tag network fans out like kBlocked's and the Beneš
+//                columns are applied gate-chunk-parallel, replayed in gate
+//                order, so the trace is byte-identical for every worker
+//                count.  Same element order and comparison count as
+//                kReference; the access trace is a *different* — but still
+//                input-independent — function of the range length.
+//                Requires a faithful SortKey projection (sort_key.h);
+//                comparators without one fall back to kBlocked.
+//   kAuto      — not an algorithm: SortRange resolves it to kBlocked or
+//                kTagSort via the measured cost model in sort_kernel.h
+//                (element width, tag width, n, pool size — all public, so
+//                the resolution leaks nothing).  The resolved algorithm is
+//                recorded per operator (JoinStats::op_sort_policy_chosen)
+//                and shows up in the annotated ExplainPlan.
 //
-// Every policy preserves level II obliviousness; the policy choice itself
-// is public configuration.  tests/sort_kernel_test.cc and
+// Every policy preserves level II obliviousness; the policy choice and the
+// worker count are public configuration.  tests/sort_kernel_test.cc and
 // tests/tag_sort_test.cc pin the equivalences.
 
 #ifndef OBLIVDB_OBLIV_SORT_POLICY_H_
@@ -49,17 +52,15 @@
 namespace oblivdb::obliv {
 
 enum class SortPolicy : uint8_t {
-  kReference,    // recursive network, four OArray accesses per exchange
-  kBlocked,      // cache-blocked kernel, raw-memory passes inside the block
-  kParallel,     // blocked leaves fanned out on the persistent thread pool
-  kTagSort,      // narrow tag network + one Beneš payload permutation
-  kParallelTag,  // tag sort with pool-parallel tag phase and Beneš columns
-  kAuto,         // resolved per sort by the cost model in sort_kernel.h
+  kReference,  // recursive network, four OArray accesses per exchange
+  kBlocked,    // cache-blocked bitonic network, pool-parallel when possible
+  kTagSort,    // narrow tag network + one Beneš payload permutation
+  kAuto,       // resolved per sort by the cost model in sort_kernel.h
 };
 
-// Stable lowercase names ("reference", "blocked", "parallel", "tag",
-// "parallel_tag", "auto") — the vocabulary of OBLIVDB_SORT_POLICY, the
-// bench JSON, and the annotated ExplainPlan.
+// Stable lowercase names ("reference", "blocked", "tag", "auto") — the
+// vocabulary of OBLIVDB_SORT_POLICY, the bench JSON, and the annotated
+// ExplainPlan.
 const char* SortPolicyName(SortPolicy policy);
 
 // Inverse of SortPolicyName.  Returns `fallback` for anything else

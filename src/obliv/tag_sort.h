@@ -23,11 +23,12 @@
 // the reference network for all pipeline comparators and trace
 // data-independence of the whole composite.
 //
-// The multi-core tier (BitonicSortRangeTaggedParallel, SortPolicy::
-// kParallelTag) runs the same three phases with the narrow sort on the
-// pool-parallel kernel and the Beneš columns fanned out per level; both
-// replay their traces in deterministic order, so the traced event stream
-// stays byte-identical to the sequential tag sort's.
+// The multi-core kernel (BitonicSortRangeTaggedParallel, what
+// SortPolicy::kTagSort runs on a multi-worker pool) runs the same three
+// phases with the narrow sort on the pool-parallel kernel and the Beneš
+// columns fanned out per level; both replay their traces in deterministic
+// order, so the traced event stream stays byte-identical to the sequential
+// tag sort's.
 
 #ifndef OBLIVDB_OBLIV_TAG_SORT_H_
 #define OBLIVDB_OBLIV_TAG_SORT_H_
@@ -84,9 +85,10 @@ void ForSpanChunks(size_t len, const Fn& fn) {
 
 // Shared body of the sequential and pool-parallel tag sorts.  `parallel`
 // swaps the execution strategy of phases 2 and 3 only — the tag network
-// runs on the kParallel tier (deterministic per-task trace replay) and the
-// Beneš payload columns are applied gate-chunk-parallel (column replay in
-// gate order) — so the traced event stream is byte-identical either way.
+// runs on the pool-parallel kernel (deterministic per-task trace replay)
+// and the Beneš payload columns are applied gate-chunk-parallel (column
+// replay in gate order) — so the traced event stream is byte-identical
+// either way.
 template <typename T, typename Less>
   requires CtLess<Less, T> && TagProjectable<Less, T>
 void BitonicSortRangeTaggedImpl(memtrace::OArray<T>& a, size_t lo, size_t len,
@@ -104,35 +106,39 @@ void BitonicSortRangeTaggedImpl(memtrace::OArray<T>& a, size_t lo, size_t len,
   constexpr size_t W = Less::kSortKeyWords;
   using Tag = SortTag<W>;
 
-  // Phase 1: project, span-batched.  Events: R a[lo..lo+len), W tags[0..len).
-  memtrace::OArray<Tag> tags(len, "tags");
-  {
-    T staged[kTagSortChunk];
-    Tag tag_chunk[kTagSortChunk];
-    ForSpanChunks(len, [&](size_t done, size_t c) {
-      a.ReadSpan(lo + done, c, staged);
-      for (size_t k = 0; k < c; ++k) {
-        tag_chunk[k] = Tag{Less::SortKeyOf(staged[k]), done + k};
-      }
-      tags.WriteSpan(done, c, tag_chunk);
-    });
-  }
-
-  // Phase 2: the narrow network.  Identical comparator schedule, so the
-  // comparison count matches the wide sort's BitonicComparisonCount(len).
-  if (parallel) {
-    BitonicSortRangeParallel(tags, 0, len, SortTagKeyLess<W>{},
-                             /*threads=*/0, comparisons, kCrossPassChunk,
-                             pool);
-  } else {
-    BitonicSortRangeBlocked(tags, 0, len, SortTagKeyLess<W>{}, comparisons,
-                            block_bytes);
-  }
-
-  // Phase 3: read off the permutation (sequential span reads) and route the
-  // payloads through it once.
+  // The tag array (8(W+1) bytes per element) lives only until the
+  // permutation is read off it, so it is freed before the switch planner
+  // and the payload routing allocate theirs.  Freeing an OArray emits no
+  // trace event, so the scope changes memory, not the trace.
   std::vector<uint32_t> perm(len);
   {
+    // Phase 1: project, span-batched.  Events: R a[lo..lo+len),
+    // W tags[0..len).
+    memtrace::OArray<Tag> tags(len, "tags");
+    {
+      T staged[kTagSortChunk];
+      Tag tag_chunk[kTagSortChunk];
+      ForSpanChunks(len, [&](size_t done, size_t c) {
+        a.ReadSpan(lo + done, c, staged);
+        for (size_t k = 0; k < c; ++k) {
+          tag_chunk[k] = Tag{Less::SortKeyOf(staged[k]), done + k};
+        }
+        tags.WriteSpan(done, c, tag_chunk);
+      });
+    }
+
+    // Phase 2: the narrow network.  Identical comparator schedule, so the
+    // comparison count matches the wide sort's BitonicComparisonCount(len).
+    if (parallel) {
+      BitonicSortRangeParallel(tags, 0, len, SortTagKeyLess<W>{},
+                               /*threads=*/0, comparisons, kCrossPassChunk,
+                               pool);
+    } else {
+      BitonicSortRangeBlocked(tags, 0, len, SortTagKeyLess<W>{}, comparisons,
+                              block_bytes);
+    }
+
+    // Phase 3a: read off the permutation (sequential span reads).
     Tag staged[kTagSortChunk];
     ForSpanChunks(len, [&](size_t done, size_t c) {
       tags.ReadSpan(done, c, staged);
@@ -141,6 +147,7 @@ void BitonicSortRangeTaggedImpl(memtrace::OArray<T>& a, size_t lo, size_t len,
       }
     });
   }
+  // Phase 3b: route the payloads through the permutation once.
   // Through the artifact-cache seam (obliv/artifact_cache.h): repeated
   // identical queries re-derive identical permutations, so a served system
   // pays the cycle-walking planner once per distinct permutation.  Planning
@@ -171,12 +178,13 @@ void BitonicSortRangeTagged(memtrace::OArray<T>& a, size_t lo, size_t len,
                                        block_bytes, pool, /*parallel=*/false);
 }
 
-// The multi-core wide-element tier (SortPolicy::kParallelTag): the narrow
-// tag sort runs task-parallel on `pool` and the Beneš payload columns are
-// applied gate-chunk-parallel.  Same element order, comparison count, and —
-// because both parallel phases replay their traces in deterministic
-// sequential order — byte-identical traced event stream as the sequential
-// tag sort (tests/tag_sort_test.cc pins all three).
+// The multi-core tag sort (SortPolicy::kTagSort on a multi-worker pool):
+// the narrow tag sort runs task-parallel on `pool` and the Beneš payload
+// columns are applied gate-chunk-parallel.  Same element order,
+// comparison count, and — because both parallel phases replay their
+// traces in deterministic sequential order — byte-identical traced event
+// stream as the sequential tag sort (tests/tag_sort_test.cc pins all
+// three).
 template <typename T, typename Less>
   requires CtLess<Less, T> && TagProjectable<Less, T>
 void BitonicSortRangeTaggedParallel(memtrace::OArray<T>& a, size_t lo,

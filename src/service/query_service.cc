@@ -96,14 +96,7 @@ QueryService::QueryService(core::ExecContext base, ServiceOptions options)
   if (!options_.plan_cache) base_.artifact_cache = nullptr;
 
   const unsigned sessions = std::max(1u, options_.sessions);
-  const unsigned base_workers = base_.pool_or_global().worker_count();
-  session_workers_ = std::max(1u, base_workers / sessions);
-
-  slot_pools_.reserve(sessions);
   slots_.reserve(sessions);
-  for (unsigned i = 0; i < sessions; ++i) {
-    slot_pools_.push_back(std::make_unique<ThreadPool>(session_workers_));
-  }
   for (unsigned i = 0; i < sessions; ++i) {
     slots_.emplace_back([this, i] { SessionLoop(i); });
   }
@@ -206,7 +199,6 @@ QueryService::DrainReport QueryService::Drain(double deadline_seconds) {
 core::ExecContext QueryService::MakeSessionContext(
     const SessionOptions& options) const {
   core::ExecContext ctx = base_;
-  ctx.pool = slot_pools_.empty() ? nullptr : slot_pools_.front().get();
   ctx.stats_sink = options.stats_sink;
   ctx.trace_sink = options.trace_sink;
   ctx.cancel_token = options.cancel_token;
@@ -299,7 +291,6 @@ void QueryService::CrashWorker(
 }
 
 void QueryService::SessionLoop(unsigned slot) {
-  ThreadPool* slot_pool = slot_pools_[slot].get();
   while (true) {
     std::vector<std::shared_ptr<PendingQuery>> batch = queue_.PopBatch();
     if (batch.empty()) return;  // closed and drained
@@ -367,7 +358,7 @@ void QueryService::SessionLoop(unsigned slot) {
         }
       }
 
-      StatusOr<QueryResponse> response = ExecuteQuery(q, slot_pool, batch_size);
+      StatusOr<QueryResponse> response = ExecuteQuery(q, batch_size);
       if (response.ok()) {
         completed_.fetch_add(1, std::memory_order_relaxed);
         if (i + 1 < batch.size()) {
@@ -388,10 +379,8 @@ void QueryService::SessionLoop(unsigned slot) {
 }
 
 StatusOr<QueryResponse> QueryService::ExecuteQuery(const PendingQuery& query,
-                                                   ThreadPool* slot_pool,
                                                    uint32_t batch_size) {
   core::ExecContext ctx = MakeSessionContext(query.options());
-  ctx.pool = slot_pool;
   // Every service execution also answers to the drain token; the client's
   // own token is untouched (common/cancel.h dual-token checkpointing).
   ctx.secondary_cancel_token = &drain_token_;

@@ -1,21 +1,22 @@
 // QueryService: N concurrent query sessions multiplexed over the engine.
 //
 // The paper's engine executes one query at a time; a realistic deployment
-// serves many clients.  The service owns a pool of session workers, each
-// with a private worker-thread budget carved out of the global pool (the
-// ForShard discipline of core/shard.h, lifted one level: workers / N
-// threads per session), and pushes every submitted query through a
-// bounded admission queue (service/admission.h).  Three layers make the
-// multiplexing both *safe* and *fast*:
+// serves many clients.  The service owns N session threads and pushes
+// every submitted query through a bounded admission queue
+// (service/admission.h).  Every session runs its sorts on the one worker
+// pool of the base context (ExecContext::pool, nullptr =
+// ThreadPool::Global()): beyond that pool a service adds exactly its N
+// session threads, and concurrent sessions share the pool's workers
+// instead of each owning a slice.  Three layers make the multiplexing
+// both *safe* and *fast*:
 //
 //   1. Session isolation.  Each query runs under a private ExecContext
 //      clone of the service's base: its own stats/trace sinks, its own
-//      CancelToken and deadline, a deterministically derived rng seed
+//      CancelToken and deadline, and a deterministically derived rng seed
 //      (DeriveSeed(base_seed, kSessionSeedStreamBase + rng_stream) — a
-//      stream namespace disjoint from the sharded executor's), and a
-//      session-slot ThreadPool whose size is independent of which slot
-//      runs the query (all slots have equal budgets, so policy resolution
-//      and traces cannot depend on placement).  A query's output — and,
+//      stream namespace disjoint from the sharded executor's).  Every
+//      session sees the same pool, so policy resolution and traces cannot
+//      depend on which session runs the query.  A query's output — and,
 //      for traced queries, its public-memory trace — is byte-identical to
 //      a solo Executor run under MakeSessionContext(options)
 //      (tests/service_test.cc pins it).
@@ -139,9 +140,10 @@ struct ServiceOptions {
 class QueryService {
  public:
   // `base` supplies the public execution knobs every session inherits
-  // (sort policy, elision, optimize, shards, rng root, artifact cache);
-  // its per-query fields (stats, sinks, token, pool) are ignored — those
-  // come from each query's SessionOptions.
+  // (sort policy, elision, optimize, shards, pool, rng root, artifact
+  // cache); its per-query fields (stats, sinks, token) are ignored — those
+  // come from each query's SessionOptions.  `base.pool` must outlive the
+  // service.
   explicit QueryService(core::ExecContext base, ServiceOptions options = {});
   ~QueryService();  // Close(): drains queued queries, joins every session
 
@@ -169,14 +171,15 @@ class QueryService {
   // Submit + Wait.
   StatusOr<QueryResponse> Run(core::PlanPtr plan, SessionOptions options = {});
 
-  // The ExecContext a query submitted with `options` executes under,
-  // modulo the session-slot pool (all slots have the worker budget this
-  // returns, so the published context is execution-equivalent).  Solo
-  // reference runs for the byte-identity tests use exactly this.
+  // The ExecContext a query submitted with `options` executes under
+  // (minus the service's drain token and the remaining-deadline clamp).
+  // Solo reference runs for the byte-identity tests use exactly this.
   core::ExecContext MakeSessionContext(const SessionOptions& options) const;
 
-  // Per-session worker-thread budget: max(1, base workers / sessions).
-  unsigned session_workers() const { return session_workers_; }
+  // Workers every session's sorts run on: the shared pool's worker count.
+  unsigned session_workers() const {
+    return base_.pool_or_global().worker_count();
+  }
   unsigned sessions() const { return static_cast<unsigned>(slots_.size()); }
 
   // Stops admission and blocks until queued queries resolve and every
@@ -234,7 +237,6 @@ class QueryService {
  private:
   void SessionLoop(unsigned slot);
   StatusOr<QueryResponse> ExecuteQuery(const PendingQuery& query,
-                                       ThreadPool* slot_pool,
                                        uint32_t batch_size);
   // The worker_crash containment path: requeues the batch (at most once
   // per query), retires this worker's thread handle, respawns the slot.
@@ -245,7 +247,6 @@ class QueryService {
 
   core::ExecContext base_;
   ServiceOptions options_;
-  unsigned session_workers_ = 1;
   AdmissionQueue queue_;
   PlanCache plan_cache_;
   CircuitBreaker breaker_;
@@ -255,7 +256,6 @@ class QueryService {
   // single-writer while letting untraced work overlap.
   std::shared_mutex exec_mu_;
 
-  std::vector<std::unique_ptr<ThreadPool>> slot_pools_;
   // slots_/retired_/accepting_respawns_ are guarded by slots_mu_: a
   // crashing worker swaps its own handle into retired_ and installs a
   // replacement; Close() flips accepting_respawns_ off, moves every handle

@@ -28,9 +28,8 @@ using core::PlanPtr;
 using core::PlanResult;
 
 const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference,   obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kParallel,    obliv::SortPolicy::kTagSort,
-    obliv::SortPolicy::kParallelTag, obliv::SortPolicy::kAuto};
+    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
+    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
 
 // Multi-group tables with keys in [0, key_range): joins have real groups,
 // distincts have duplicates, and `variant` moves only payload contents —

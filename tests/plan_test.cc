@@ -29,9 +29,8 @@ using core::PlanPtr;
 using core::PlanResult;
 
 const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference,   obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kParallel,    obliv::SortPolicy::kTagSort,
-    obliv::SortPolicy::kParallelTag, obliv::SortPolicy::kAuto};
+    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
+    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
 
 Table SmallT1() {
   return Table("t1", {{1, 10}, {1, 11}, {2, 20}, {3, 30}, {3, 30}, {5, 50}});

@@ -252,11 +252,15 @@ TEST(FaultSiteTest, AllocFaultReturnsResourceExhaustedUnderScope) {
   EXPECT_TRUE(again.ok());
 }
 
-TEST(FaultSiteTest, PoolSpawnFaultDegradesParallelTagToTagSort) {
-  const auto tc = workload::PowerLaw(64, 2.0, 7);
+TEST(FaultSiteTest, PoolSpawnFaultDegradesToSequentialKernel) {
+  // kSortFanOutMinLen rows per side: the join's sorts reach the fan-out
+  // floor, so the 4-worker pool fans them out — and the spawn probe runs.
+  const auto tc = workload::OneToOne(obliv::kSortFanOutMinLen, 7);
+  ThreadPool pool(4);
   core::JoinStats clean_stats;
   core::ExecContext clean_ctx;
-  clean_ctx.sort_policy = obliv::SortPolicy::kParallelTag;
+  clean_ctx.sort_policy = obliv::SortPolicy::kBlocked;
+  clean_ctx.pool = &pool;
   clean_ctx.stats = &clean_stats;
   std::vector<JoinedRecord> clean;
   {
@@ -274,42 +278,52 @@ TEST(FaultSiteTest, PoolSpawnFaultDegradesParallelTagToTagSort) {
     ScopedFaultInjection scoped("pool_spawn:1");  // every fan-out refused
     faulty = core::ObliviousJoin(tc.t1, tc.t2, faulty_ctx);
   }
-  // Degradation preserves the output bytes (kParallelTag and kTagSort sort
-  // to the same order with the same trace contract); the stats record both
-  // the downgraded tier and the degradation count.
+  // Degradation preserves the output bytes (the sequential and parallel
+  // blocked kernels sort to the same order with the same trace contract)
+  // and the algorithm; the stats record the degradation count.
   EXPECT_EQ(clean, faulty);
-  EXPECT_NE(faulty_stats.op_sort_policy_chosen,
-            obliv::SortPolicy::kParallelTag);
+  EXPECT_EQ(faulty_stats.op_sort_policy_chosen,
+            clean_stats.op_sort_policy_chosen);
+  EXPECT_EQ(faulty_stats.op_sort_policy_chosen, obliv::SortPolicy::kBlocked);
   EXPECT_GT(faulty_stats.op_degradations, 0u);
   EXPECT_GT(faulty_stats.op_faults_injected, 0u);
   EXPECT_EQ(clean_stats.op_degradations, 0u);
 }
 
-TEST(FaultSiteTest, PoolSpawnFaultDowngradesSortTierInPlace) {
+TEST(FaultSiteTest, PoolSpawnFaultFallsBackToSequentialKernelInPlace) {
+  // At the fan-out floor, on a 4-worker pool: kBlocked fans out unless the
+  // spawn probe refuses.
+  constexpr size_t kN = obliv::kSortFanOutMinLen;
   auto fill = [](memtrace::OArray<Entry>& a) {
     for (size_t i = 0; i < a.size(); ++i) {
       a.Write(i, MakeEntry(Record{(i * 37) % 64, {i, i + 1}}, /*tid=*/1));
     }
   };
-  memtrace::OArray<Entry> clean(64, "deg_clean");
+  ThreadPool pool(4);
+  memtrace::OArray<Entry> clean(kN, "deg_clean");
   fill(clean);
   obliv::SortPolicy clean_chosen = obliv::SortPolicy::kAuto;
-  obliv::SortRange(clean, 0, clean.size(), core::ByJoinKeyThenTidLess{},
-                   obliv::SortPolicy::kParallelTag, nullptr, nullptr,
-                   &clean_chosen);
-  EXPECT_EQ(clean_chosen, obliv::SortPolicy::kParallelTag);
+  {
+    ScopedFaultInjection off("");
+    obliv::SortRange(clean, 0, clean.size(), core::ByJoinKeyThenTidLess{},
+                     obliv::SortPolicy::kBlocked, nullptr, &pool,
+                     &clean_chosen);
+    EXPECT_EQ(FaultInjector::Global().Snapshot().degradations, 0u);
+  }
+  EXPECT_EQ(clean_chosen, obliv::SortPolicy::kBlocked);
 
-  memtrace::OArray<Entry> faulty(64, "deg_faulty");
+  memtrace::OArray<Entry> faulty(kN, "deg_faulty");
   fill(faulty);
   obliv::SortPolicy faulty_chosen = obliv::SortPolicy::kAuto;
   {
     ScopedFaultInjection scoped("pool_spawn:once");
     obliv::SortRange(faulty, 0, faulty.size(), core::ByJoinKeyThenTidLess{},
-                     obliv::SortPolicy::kParallelTag, nullptr, nullptr,
+                     obliv::SortPolicy::kBlocked, nullptr, &pool,
                      &faulty_chosen);
     EXPECT_EQ(FaultInjector::Global().Snapshot().degradations, 1u);
   }
-  EXPECT_EQ(faulty_chosen, obliv::SortPolicy::kTagSort);
+  // The fallback stays within the algorithm.
+  EXPECT_EQ(faulty_chosen, obliv::SortPolicy::kBlocked);
   for (size_t i = 0; i < clean.size(); ++i) {
     const Entry a = clean.Read(i);
     const Entry b = faulty.Read(i);

@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "core/exec_context.h"
 #include "core/optimizer.h"
 #include "core/plan.h"
@@ -99,7 +103,7 @@ TEST(QueryServiceTest, ByteIdenticalAcrossCacheBatchingAndSessions) {
   const std::vector<PlanPtr> plans = Workload();
 
   // Solo references, computed under the same session context the service
-  // publishes (same worker budget, same derived seed).
+  // publishes (same shared pool, same derived seed).
   std::vector<std::vector<Record>> expected;
   {
     PrivateCacheContext base;
@@ -194,6 +198,70 @@ TEST(QueryServiceTest, ConcurrentTracedSessionsMatchSoloTraces) {
 
   EXPECT_EQ(svc_sink_a.HexDigest(), solo_a);
   EXPECT_EQ(svc_sink_b.HexDigest(), solo_b);
+}
+
+// ---------------------------------------------------------------------------
+// Thread budget: every session runs on the base context's pool, so a
+// service adds exactly its session threads — no per-session pools.
+
+// Threads of this process: one /proc/self/task entry each.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A joined thread may linger in /proc for a moment after join returns.
+size_t ThreadCountSettledAt(size_t expected) {
+  for (int i = 0; i < 200 && ThreadCount() != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return ThreadCount();
+}
+
+TEST(QueryServiceTest, SessionsRunOnTheSharedPool) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  // A 4096-row union, traced: below the fan-out floor, so the service and
+  // the solo run take the same sequential kernels on the shared pool.
+  const PlanPtr plan = core::Join(core::Scan(FactTable("fp", 3840, 256, 1)),
+                                  KeyUniqueScan(DimTable("dp", 256, 1)));
+  ThreadPool pool(4);
+  PrivateCacheContext base;
+  base.ctx.pool = &pool;
+  ServiceOptions opts;
+  opts.sessions = 2;
+
+  const size_t before = ThreadCount();
+  auto svc = std::make_unique<QueryService>(base.ctx, opts);
+  EXPECT_EQ(ThreadCount(), before + 2);
+  EXPECT_EQ(svc->session_workers(), 4u);
+
+  const ExecContext solo_ctx = svc->MakeSessionContext(SessionOptions{});
+  EXPECT_EQ(solo_ctx.pool, &pool);
+  memtrace::HashTraceSink solo_sink;
+  std::vector<Record> solo_rows;
+  {
+    ExecContext ctx = solo_ctx;
+    ctx.trace_sink = &solo_sink;
+    solo_rows = Executor(ctx).Execute(plan).table.rows();
+  }
+
+  memtrace::HashTraceSink svc_sink;
+  SessionOptions traced;
+  traced.trace_sink = &svc_sink;
+  const StatusOr<QueryResponse> response = svc->Run(plan, traced);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->result.table.rows(), solo_rows);
+  EXPECT_EQ(svc_sink.HexDigest(), solo_sink.HexDigest());
+
+  svc.reset();
+  EXPECT_EQ(ThreadCountSettledAt(before), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -38,9 +38,8 @@ using core::ShardOfKey;
 using core::ShardSet;
 
 const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference,   obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kParallel,    obliv::SortPolicy::kTagSort,
-    obliv::SortPolicy::kParallelTag, obliv::SortPolicy::kAuto};
+    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
+    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
 
 // A mid-size pair with repeated keys on both sides (multi-groups exercise
 // both expansions inside every shard pipeline): 400 groups of bounded

@@ -9,17 +9,24 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/comparators.h"
+#include "core/exec_context.h"
 #include "core/join.h"
+#include "core/operators.h"
 #include "crypto/chacha20.h"
 #include "memtrace/oarray.h"
 #include "memtrace/sinks.h"
 #include "obliv/bitonic_sort.h"
 #include "obliv/ct.h"
 #include "obliv/sort_kernel.h"
+#include "table/entry.h"
 #include "workload/generators.h"
 
 namespace oblivdb::obliv {
@@ -165,29 +172,32 @@ TEST(SortKernelTest, SubrangeSortLeavesRestUntouched) {
 }
 
 TEST(SortKernelTest, PolicyDispatcherRunsEveryPolicy) {
-  // ItemLexLess carries no SortKey projection, so the tag tiers fall back
-  // to their projection-free counterparts here (the real tag paths are
-  // covered by tests/tag_sort_test.cc); every policy must sort and count
-  // identically.  `chosen` reports the tier that actually executed: at
-  // n = 333 every fallback chain bottoms out in the blocked kernel (no
-  // projection, and n sits below the parallel task cutoff of 2^12).
+  // ItemLexLess carries no SortKey projection, so kTagSort falls back to
+  // the blocked kernel here (the real tag paths are covered by
+  // tests/tag_sort_test.cc); every policy must sort and count identically
+  // on a 1-worker and a 4-worker pool.  `chosen` reports the algorithm
+  // that actually executed, whatever the pool: at n = 333 kTagSort bottoms
+  // out in the blocked kernel (no projection), and the range sits below
+  // the fan-out floor (kSortFanOutMinLen).
   const std::pair<SortPolicy, SortPolicy> policy_and_executed[] = {
       {SortPolicy::kReference, SortPolicy::kReference},
       {SortPolicy::kBlocked, SortPolicy::kBlocked},
-      {SortPolicy::kParallel, SortPolicy::kBlocked},
       {SortPolicy::kTagSort, SortPolicy::kBlocked},
-      {SortPolicy::kParallelTag, SortPolicy::kBlocked},
   };
-  for (const auto& [policy, executed] : policy_and_executed) {
-    memtrace::OArray<Item> arr(333, "disp");
-    FillRandom(arr, 42);
-    uint64_t comparisons = 0;
-    SortPolicy chosen = SortPolicy::kAuto;
-    Sort(arr, ItemLexLess{}, policy, &comparisons, nullptr, &chosen);
-    const auto contents = Contents(arr);
-    EXPECT_TRUE(std::is_sorted(contents.begin(), contents.end()));
-    EXPECT_EQ(comparisons, BitonicComparisonCount(333));
-    EXPECT_EQ(chosen, executed);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    for (const auto& [policy, executed] : policy_and_executed) {
+      memtrace::OArray<Item> arr(333, "disp");
+      FillRandom(arr, 42);
+      uint64_t comparisons = 0;
+      SortPolicy chosen = SortPolicy::kAuto;
+      Sort(arr, ItemLexLess{}, policy, &comparisons, pool, &chosen);
+      const auto contents = Contents(arr);
+      EXPECT_TRUE(std::is_sorted(contents.begin(), contents.end()));
+      EXPECT_EQ(comparisons, BitonicComparisonCount(333));
+      EXPECT_EQ(chosen, executed);
+    }
   }
   {
     memtrace::OArray<Item> arr(333, "disp");
@@ -206,19 +216,36 @@ TEST(SortKernelTest, PolicyDispatcherRunsEveryPolicy) {
 TEST(SortKernelTest, AutoResolutionFollowsTheMeasuredCrossovers) {
   constexpr size_t kEntryBytes = 72;  // the pipeline element
   constexpr size_t kEntryTagBytes = 24;
-  // Narrow elements: the tag array is as wide as the data; never a tag
-  // tier.  Single worker: never a parallel tier.
+  // Narrow elements: the tag array is as wide as the data; never tag
+  // sort, on one worker or on eight.
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 1),
             SortPolicy::kBlocked);
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 8),
-            SortPolicy::kParallel);
-  // Wide elements beyond the measured ~2^13-2^14 crossover: tag tiers.
+            SortPolicy::kBlocked);
+  // Wide elements beyond the measured ~2^13-2^14 crossover: tag sort, on
+  // one worker or on eight.
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               1 << 18, 1),
             SortPolicy::kTagSort);
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               1 << 18, 8),
-            SortPolicy::kParallelTag);
+            SortPolicy::kTagSort);
+  // The model credits the worker count exactly where SortRange fans out:
+  // a multi-worker pool at or above the fan-out floor.
+  EXPECT_LT(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24, 1 << 20, 8),
+            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24, 1 << 20, 1));
+  EXPECT_EQ(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24,
+                                     kSortFanOutMinLen - 1, 8),
+            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24,
+                                     kSortFanOutMinLen - 1, 1));
+  EXPECT_LT(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24,
+                                     kSortFanOutMinLen, 8),
+            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 24,
+                                     kSortFanOutMinLen, 1));
+  EXPECT_LT(EstimateSortNsPerElement(SortPolicy::kTagSort, kEntryBytes,
+                                     kEntryTagBytes, 1 << 18, 8),
+            EstimateSortNsPerElement(SortPolicy::kTagSort, kEntryBytes,
+                                     kEntryTagBytes, 1 << 18, 1));
   // Small ranges never leave the blocked kernel (fixed costs dominate).
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
                               256, 8),
@@ -230,6 +257,19 @@ TEST(SortKernelTest, AutoResolutionFollowsTheMeasuredCrossovers) {
   EXPECT_EQ(ResolveSortPolicy(SortPolicy::kReference, kEntryBytes,
                               kEntryTagBytes, 1 << 18, 8),
             SortPolicy::kReference);
+}
+
+// The run-merge arbiter prices both sides at one worker, so its decision
+// cannot move with the pool size: a small covered run ahead of a large
+// uncovered one keeps its merge (bench_join_pipeline's star join, a
+// 2^12-row key-unique dimension ahead of 2^16 facts), while a dominant
+// uncovered run still takes the full sort.
+TEST(SortKernelTest, RunMergeArbiterKeepsTheStarJoinMerge) {
+  using Less = core::ByJoinKeyThenTidLess;
+  EXPECT_TRUE((RunMergePays<Entry, Less>(SortPolicy::kBlocked, 1 << 12, true,
+                                         1 << 16, false)));
+  EXPECT_FALSE((RunMergePays<Entry, Less>(SortPolicy::kBlocked, 16, true,
+                                          1 << 16, false)));
 }
 
 TEST(SortKernelTest, AutoTraceIsDataIndependent) {
@@ -303,6 +343,77 @@ TEST(SortKernelPerfTest, BlockedAtLeastTwiceAsFastAtTwoToTheTwenty) {
       << "reference " << reference_seconds << " s vs blocked "
       << blocked_seconds << " s";
 }
+
+// ---------------------------------------------------------------------------
+// The worker count is only a speed knob.  kBlocked and kTagSort run their
+// sequential kernels on a 1-worker pool and, from kSortFanOutMinLen
+// elements on, their pool-parallel kernels on a 4-worker pool; an operator
+// must not be able to tell which.  Sizes straddle the parallel kernel's
+// leaf size (2^12), the 2^14 floor of the tag sort's Beneš planner and
+// columns, and the 2^16 fan-out floor itself.
+
+class WorkerCountTest
+    : public ::testing::TestWithParam<std::tuple<SortPolicy, size_t>> {};
+
+TEST_P(WorkerCountTest, OneAndFourWorkersAgreeByteForByte) {
+  const auto [policy, n] = GetParam();
+  // Distinct runs one Entry sort over exactly n rows; duplicate rows make
+  // the tie order observable in the output.
+  crypto::ChaCha20Rng rng(n);
+  std::vector<Record> rows(n);
+  for (Record& r : rows) {
+    r.key = rng.Uniform(n / 4);
+    r.payload = {rng.Uniform(3), 7};
+  }
+  const Table input("t", std::move(rows));
+
+  struct Run {
+    std::vector<Record> rows;
+    uint64_t comparisons = 0;
+    std::string trace;
+    SortPolicy chosen = SortPolicy::kAuto;
+  };
+  auto run = [&](unsigned workers) {
+    ThreadPool pool(workers);
+    core::JoinStats stats;
+    core::ExecContext ctx;
+    ctx.sort_policy = policy;
+    ctx.pool = &pool;
+    ctx.stats = &stats;
+    // The two sizes at the fan-out floor compare everything but the
+    // trace: hashing a 2^16-row sort's events takes tens of seconds, and
+    // a traced parallel sort buffers all of them in memory until it
+    // replays them (parallel_sort.h).  The kernel-level pins
+    // (parallel_sort_test, tag_sort_test ParallelTagTraceTest) cover the
+    // parallel traces.
+    memtrace::HashTraceSink sink;
+    Table out;
+    if (n < kSortFanOutMinLen / 2) {
+      memtrace::TraceScope scope(&sink);
+      out = core::ObliviousDistinct(input, ctx);
+    } else {
+      out = core::ObliviousDistinct(input, ctx);
+    }
+    return Run{out.rows(), stats.TotalComparisons(), sink.HexDigest(),
+               stats.op_sort_policy_chosen};
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+  EXPECT_EQ(one.rows, four.rows);
+  EXPECT_EQ(one.comparisons, four.comparisons);
+  EXPECT_EQ(one.trace, four.trace);
+  EXPECT_EQ(one.chosen, four.chosen);
+  EXPECT_EQ(one.chosen, policy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AroundCutoffs, WorkerCountTest,
+    ::testing::Combine(::testing::Values(SortPolicy::kBlocked,
+                                         SortPolicy::kTagSort),
+                       ::testing::Values(size_t{4095}, size_t{4096},
+                                         (size_t{1} << 14) + 3,
+                                         kSortFanOutMinLen - 1,
+                                         kSortFanOutMinLen)));
 
 // ---------------------------------------------------------------------------
 // Cost-model calibration (CalibrateSortCostModel).

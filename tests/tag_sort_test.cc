@@ -15,6 +15,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/aggregate.h"
 #include "core/comparators.h"
 #include "core/join.h"
@@ -166,27 +167,34 @@ memtrace::OArray<Entry> MakeEntries(size_t n, uint64_t seed) {
 
 constexpr SortPolicy kAllPolicies[] = {SortPolicy::kReference,
                                        SortPolicy::kBlocked,
-                                       SortPolicy::kParallel,
                                        SortPolicy::kTagSort,
-                                       SortPolicy::kParallelTag,
                                        SortPolicy::kAuto};
 
+// Every policy on a 1-worker pool and on a 4-worker pool.  These sizes sit
+// below the fan-out floor (kSortFanOutMinLen), so both pools run the
+// sequential kernels here; ParallelTagTraceTest drives the pool-parallel
+// tag kernel directly at the same sizes.
 template <typename Less>
 void ExpectAllPoliciesAgree(size_t n, const char* name) {
+  ThreadPool one(1);
+  ThreadPool four(4);
   std::vector<EntryWords> reference;
   uint64_t reference_comparisons = 0;
-  for (const SortPolicy policy : kAllPolicies) {
-    memtrace::OArray<Entry> arr = MakeEntries(n, n * 1299709 + 17);
-    uint64_t comparisons = 0;
-    Sort(arr, Less{}, policy, &comparisons);
-    if (policy == SortPolicy::kReference) {
-      reference = Contents(arr);
-      reference_comparisons = comparisons;
-      EXPECT_EQ(comparisons, BitonicComparisonCount(n));
-    } else {
-      ASSERT_EQ(Contents(arr), reference)
-          << name << " policy " << static_cast<int>(policy) << " n " << n;
-      EXPECT_EQ(comparisons, reference_comparisons) << name;
+  for (ThreadPool* pool : {&one, &four}) {
+    for (const SortPolicy policy : kAllPolicies) {
+      memtrace::OArray<Entry> arr = MakeEntries(n, n * 1299709 + 17);
+      uint64_t comparisons = 0;
+      Sort(arr, Less{}, policy, &comparisons, pool);
+      if (pool == &one && policy == SortPolicy::kReference) {
+        reference = Contents(arr);
+        reference_comparisons = comparisons;
+        EXPECT_EQ(comparisons, BitonicComparisonCount(n));
+      } else {
+        ASSERT_EQ(Contents(arr), reference)
+            << name << " policy " << static_cast<int>(policy) << " workers "
+            << pool->worker_count() << " n " << n;
+        EXPECT_EQ(comparisons, reference_comparisons) << name;
+      }
     }
   }
 }
@@ -203,7 +211,7 @@ TEST_P(TagSortSizeTest, EveryPolicySamePermutationEveryComparator) {
 }
 
 // Below, at, and above the tag-sort cutoff; power-of-two and ragged; above
-// the parallel cutoff.
+// the parallel kernel's leaf size (2^12).
 INSTANTIATE_TEST_SUITE_P(Sizes, TagSortSizeTest,
                          ::testing::Values(0, 1, 2, 17, 31, 32, 33, 100, 128,
                                            257, 1000, 1024, 5000));
@@ -238,29 +246,41 @@ TEST(TagSortTest, TraceDependsOnlyOnLength) {
 
 // --- Parallel tag sort -------------------------------------------------------
 
-// The pool-parallel tag sort replays the tag network's per-task buffers and
-// each Beneš column's events in deterministic sequential order, so its
-// traced event stream must be *byte-identical* to the sequential tag
-// sort's — not merely input-independent.  Sizes straddle both parallel
-// cutoffs (tag network: 2^12 elements; Beneš columns: 2^14 network slots).
+// The pool-parallel tag kernel replays the tag network's per-task buffers
+// and each Beneš column's events in deterministic sequential order, so
+// its traced event stream must be *byte-identical* to the sequential tag
+// sort's — not merely input-independent — and it must sort to the same
+// bytes.  SortRange engages it only from kSortFanOutMinLen elements on,
+// where a traced run would buffer hundreds of MB of events, so the kernel
+// is called directly here.  Sizes straddle the parallel kernel's leaf size
+// (tag network: 2^12 elements) and the Beneš columns' floor (2^14 network
+// slots).
 class ParallelTagTraceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelTagTraceTest, TraceByteIdenticalToSequentialTagSort) {
   const size_t n = GetParam();
-  ThreadPool pool(4);
-  auto trace_of = [&](SortPolicy policy) {
+  auto run = [&](unsigned workers, std::vector<EntryWords>* contents) {
+    ThreadPool pool(workers);
     memtrace::VectorTraceSink sink;
     memtrace::TraceScope scope(&sink);
     memtrace::OArray<Entry> arr = MakeEntries(n, n * 7 + 1);
     uint64_t comparisons = 0;
-    SortRange(arr, 0, n, core::ByJoinKeyThenTidLess{}, policy, &comparisons,
-              &pool);
+    if (workers == 1) {
+      SortRange(arr, 0, n, core::ByJoinKeyThenTidLess{}, SortPolicy::kTagSort,
+                &comparisons, &pool);
+    } else {
+      BitonicSortRangeTaggedParallel(arr, 0, n, core::ByJoinKeyThenTidLess{},
+                                     &comparisons, kSortBlockBytes, &pool);
+    }
     EXPECT_EQ(comparisons, BitonicComparisonCount(n));
+    *contents = Contents(arr);
     return sink;
   };
-  const auto sequential = trace_of(SortPolicy::kTagSort);
-  const auto parallel = trace_of(SortPolicy::kParallelTag);
+  std::vector<EntryWords> sequential_contents, parallel_contents;
+  const auto sequential = run(1, &sequential_contents);
+  const auto parallel = run(4, &parallel_contents);
   EXPECT_TRUE(sequential.SameTraceAs(parallel)) << "n=" << n;
+  EXPECT_EQ(sequential_contents, parallel_contents) << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ParallelTagTraceTest,
@@ -272,11 +292,12 @@ TEST(ParallelTagTest, TraceDependsOnlyOnLength) {
     memtrace::HashTraceSink sink;
     memtrace::TraceScope scope(&sink);
     memtrace::OArray<Entry> arr = MakeEntries(n, seed);
-    SortRange(arr, 0, n, core::ByTidThenJoinKeyThenDataLess{},
-              SortPolicy::kParallelTag, nullptr, &pool);
+    BitonicSortRangeTaggedParallel(arr, 0, n,
+                                   core::ByTidThenJoinKeyThenDataLess{},
+                                   nullptr, kSortBlockBytes, &pool);
     return sink.HexDigest();
   };
-  // 5000 crosses the tag network's parallel cutoff, so the fanned-out tag
+  // 5000 crosses the parallel kernel's leaf size, so the fanned-out tag
   // phase (deterministically replayed) is actually exercised.
   for (const size_t n : {size_t{100}, size_t{5000}}) {
     EXPECT_EQ(hash_of(n, 3), hash_of(n, 33)) << n;
@@ -284,20 +305,18 @@ TEST(ParallelTagTest, TraceDependsOnlyOnLength) {
   }
 }
 
-// kAuto on the 72-byte Entry with a multi-worker pool resolves to the
-// parallel tag tier beyond the crossover — and the sorted output still
-// matches the reference network exactly.  (8 workers: at 4 the model puts
-// kParallel and kParallelTag within a nanosecond of each other at this n —
-// the wide network's bandwidth cap and the planner's Amdahl tail nearly
-// cancel — so the test sits clear of that boundary.)
-TEST(ParallelTagTest, AutoPicksParallelTagForWideElementsAndAgrees) {
+// kAuto on the 72-byte Entry with a multi-worker pool resolves to tag sort
+// beyond the crossover — and the sorted output still matches the
+// reference network exactly.  n sits below the fan-out floor, so the
+// model prices both algorithms' sequential kernels whatever the pool.
+TEST(ParallelTagTest, AutoPicksTagSortForWideElementsAndAgrees) {
   const size_t n = 20000;
   ThreadPool pool(8);
   memtrace::OArray<Entry> arr = MakeEntries(n, 99);
   SortPolicy chosen = SortPolicy::kAuto;
   SortRange(arr, 0, n, core::ByJoinKeyThenTidLess{}, SortPolicy::kAuto,
             nullptr, &pool, &chosen);
-  EXPECT_EQ(chosen, SortPolicy::kParallelTag);
+  EXPECT_EQ(chosen, SortPolicy::kTagSort);
 
   memtrace::OArray<Entry> ref = MakeEntries(n, 99);
   SortRange(ref, 0, n, core::ByJoinKeyThenTidLess{}, SortPolicy::kBlocked);
@@ -309,16 +328,22 @@ TEST(ParallelTagTest, AutoPicksParallelTagForWideElementsAndAgrees) {
 TEST(TagSortTest, JoinRowsIdenticalUnderEveryPolicy) {
   const workload::TestCase tc = workload::PowerLaw(/*n=*/120, /*alpha=*/1.4,
                                                    /*seed=*/9);
+  ThreadPool one(1);
+  ThreadPool four(4);
   std::vector<JoinedRecord> reference;
-  for (const SortPolicy policy : kAllPolicies) {
-    core::ExecContext ctx;
-    ctx.sort_policy = policy;
-    const std::vector<JoinedRecord> rows =
-        core::ObliviousJoin(tc.t1, tc.t2, ctx);
-    if (policy == SortPolicy::kReference) {
-      reference = rows;
-    } else {
-      EXPECT_EQ(rows, reference) << static_cast<int>(policy);
+  for (ThreadPool* pool : {&one, &four}) {
+    for (const SortPolicy policy : kAllPolicies) {
+      core::ExecContext ctx;
+      ctx.sort_policy = policy;
+      ctx.pool = pool;
+      const std::vector<JoinedRecord> rows =
+          core::ObliviousJoin(tc.t1, tc.t2, ctx);
+      if (pool == &one && policy == SortPolicy::kReference) {
+        reference = rows;
+      } else {
+        EXPECT_EQ(rows, reference) << static_cast<int>(policy) << " workers "
+                                   << pool->worker_count();
+      }
     }
   }
 }
@@ -343,10 +368,11 @@ TEST(TagSortTest, RelationalOperatorsAgreeAcrossPolicies) {
   const Table semi_ref = core::ObliviousSemiJoin(tc.t1, tc.t2);
   const Table anti_ref = core::ObliviousAntiJoin(tc.t1, tc.t2);
   const auto agg_ref = core::ObliviousJoinAggregate(tc.t1, tc.t2);
-  for (const SortPolicy policy :
-       {SortPolicy::kParallel, SortPolicy::kTagSort}) {
+  ThreadPool four(4);
+  for (const SortPolicy policy : {SortPolicy::kBlocked, SortPolicy::kTagSort}) {
     core::ExecContext ctx;
     ctx.sort_policy = policy;
+    ctx.pool = &four;
     EXPECT_EQ(core::ObliviousDistinct(tc.t1, ctx).rows(),
               distinct_ref.rows());
     EXPECT_EQ(core::ObliviousSemiJoin(tc.t1, tc.t2, ctx).rows(),
